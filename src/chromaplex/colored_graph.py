@@ -11,12 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .perm import Permutation, product_cycles
-from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -83,51 +84,78 @@ def _check_colors(G: ColoredGraph, colors: Iterable[int]) -> tuple[int, ...]:
     return cs
 
 
-def _subgraph_uf(G: ColoredGraph, colors: Sequence[int]) -> UnionFind:
-    """Union-find over the 2p vertices (blacks 0..p-1, whites p..2p-1) with
-    one union per retained edge."""
+def _components(
+    n: int,
+    heads: np.ndarray,
+    tails: Optional[np.ndarray] = None,
+    strong: bool = False,
+) -> tuple[int, np.ndarray]:
+    """(component count, per-vertex labels) of the graph on vertices 0..n-1,
+    the one connectivity kernel of the package.
+
+    Without `tails`, `heads` is an (r, w) array whose row k lists the heads
+    of the w arcs leaving vertex k, and vertices r..n-1 have no arcs of
+    their own: the CSR row pointer is then an arange and nothing is sorted.
+    With `tails`, arc k runs tails[k] -> heads[k].  Weak components are
+    labelled by first appearance in vertex order, which the canonical
+    bubble order and the dual-complex point ids rely on; strong components
+    (`strong=True`) are only counted by callers.
+    """
+    if tails is None:
+        r, w = heads.shape
+        indices = np.ascontiguousarray(heads, dtype=np.int32).reshape(-1)
+        indptr = np.minimum(np.arange(n + 1, dtype=np.int32) * w, r * w)
+    else:
+        tails = np.asarray(tails, dtype=np.int32)
+        indices = np.asarray(heads, dtype=np.int32)[np.argsort(tails, kind="stable")]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    graph = csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
+    if strong:
+        # scipy's strong-component search never returns on parallel arcs
+        # (seen with scipy 1.17), so merge them first.
+        graph.sum_duplicates()
+    return connected_components(
+        graph, directed=strong, connection="strong" if strong else "weak"
+    )
+
+
+def _subgraph_components(G: ColoredGraph, colors: Sequence[int]) -> tuple[int, np.ndarray]:
+    """Components over the 2p vertices (blacks 0..p-1, whites p..2p-1)
+    keeping only the edges of `colors`."""
     p = G.p
-    uf = UnionFind(2 * p)
-    union = uf.union
-    for c in colors:
-        img = G.alphas[c].images.tolist()
-        for k in range(p):
-            union(k, p + img[k])
-    return uf
+    heads = np.empty((p, len(colors)), dtype=np.int32)
+    for col, c in enumerate(colors):
+        heads[:, col] = G.alphas[c].images
+    return _components(2 * p, heads + p)
 
 
 def bubbles(G: ColoredGraph, colors: Iterable[int]) -> list[Bubble]:
     """Connected components of the color-restricted subgraph, in canonical
-    order (smallest black vertex first, pure-white components after)."""
+    order (smallest black vertex first, pure-white components after), which
+    is the kernel's first-appearance label order."""
     cs = _check_colors(G, colors)
     p = G.p
-    uf = _subgraph_uf(G, cs)
-    members: dict[int, tuple[list[int], list[int]]] = {}
-    for v in range(2 * p):
-        root = uf.find(v)
-        blk, wht = members.setdefault(root, ([], []))
-        (blk if v < p else wht).append(v % p + 1)
+    n_comp, labels = _subgraph_components(G, cs)
+    members: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n_comp)]
+    for v, lab in enumerate(labels.tolist()):
+        members[lab][v >= p].append(v % p + 1)
     fro = frozenset(cs)
-    out = [
+    return [
         Bubble(colors=fro, black_vertices=tuple(blk), white_vertices=tuple(wht))
-        for blk, wht in members.values()
+        for blk, wht in members
     ]
-    out.sort(key=lambda b: (not b.black_vertices, (b.black_vertices or b.white_vertices)[0]))
-    return out
 
 
 def count_bubbles(G: ColoredGraph, colors: Iterable[int]) -> int:
-    cs = _check_colors(G, colors)
-    if not cs:
-        return 2 * G.p
-    return _subgraph_uf(G, cs).n_components
+    return _subgraph_components(G, _check_colors(G, colors))[0]
 
 
-def component_labels(G: ColoredGraph, colors: Iterable[int]) -> tuple[list[int], int]:
+def component_labels(G: ColoredGraph, colors: Iterable[int]) -> tuple[np.ndarray, int]:
     """Per-vertex component label of the color-restricted subgraph, labels
     numbered by first appearance over blacks 0..p-1 then whites p..2p-1."""
-    uf = _subgraph_uf(G, _check_colors(G, colors))
-    return uf.labels(), uf.n_components
+    n_comp, labels = _subgraph_components(G, _check_colors(G, colors))
+    return labels, n_comp
 
 
 def face_count(G: ColoredGraph, i: int, j: int) -> int:
@@ -140,8 +168,8 @@ def face_count(G: ColoredGraph, i: int, j: int) -> int:
 
 def bubble_census(G: ColoredGraph) -> dict[int, int]:
     """b_k(G) for k = 0..D+1, bubble counts summed over color subsets of
-    size k.  b_2 goes through permutation products, the rest through
-    union-find."""
+    size k.  b_2 goes through permutation products, the rest through the
+    connectivity kernel."""
     D, p = G.D, G.p
     census = {0: 2 * p, 1: (D + 1) * p}
     census[2] = sum(
@@ -156,7 +184,7 @@ def bubble_census(G: ColoredGraph) -> dict[int, int]:
 
 
 def component_count(G: ColoredGraph) -> int:
-    return _subgraph_uf(G, range(G.D + 1)).n_components
+    return _subgraph_components(G, G.colors)[0]
 
 
 def is_connected(G: ColoredGraph) -> bool:

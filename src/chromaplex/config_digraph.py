@@ -9,7 +9,6 @@ small components are cycles of degree-(1,1) vertices with Poisson counts.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,6 @@ import numpy as np
 
 from . import colored_graph as cg
 from .models import BaseGraph, quartic_base
-from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -94,23 +92,11 @@ def quotient_digraph(G: cg.ColoredGraph, i: int) -> Digraph:
     p = G.p
     colors = [c for c in range(1, G.D + 1) if c != i]
     labels, n_pieces = cg.component_labels(G, colors)
-    out_deg = [0] * n_pieces
-    in_deg = [0] * n_pieces
-    for v in range(p):
-        out_deg[labels[v]] += 1
-    for v in range(p, 2 * p):
-        in_deg[labels[v]] += 1
-    alpha0 = G.alphas[0].images.tolist()
-    tails = [0] * p
-    heads = [0] * p
-    for k in range(p):
-        tails[k] = labels[k]
-        heads[k] = labels[p + alpha0[k]]
     return Digraph(
-        in_degrees=tuple(in_deg),
-        out_degrees=tuple(out_deg),
-        tails=tuple(tails),
-        heads=tuple(heads),
+        in_degrees=tuple(np.bincount(labels[p:], minlength=n_pieces).tolist()),
+        out_degrees=tuple(np.bincount(labels[:p], minlength=n_pieces).tolist()),
+        tails=tuple(labels[:p].tolist()),
+        heads=tuple(labels[p + G.alphas[0].images].tolist()),
     )
 
 
@@ -139,85 +125,30 @@ def sample_directed_config_model(
 
 
 def analyze(d: Digraph) -> CycleCensus:
-    """Component census via union-find; for the balanced degree profiles
-    produced here weak and strong connectivity coincide (cross-checked by
-    scc_count in the tests)."""
-    n = d.n
-    uf = UnionFind(n)
-    for t, h in zip(d.tails, d.heads):
-        uf.union(t, h)
-    labels = uf.labels()
-    n_comp = uf.n_components
-    sizes = [0] * n_comp
-    pure11 = [True] * n_comp
-    degree_sum = [0] * n_comp
-    for v in range(n):
-        lab = labels[v]
-        sizes[lab] += 1
-        degree_sum[lab] += d.in_degrees[v] + d.out_degrees[v]
-        if d.in_degrees[v] != 1 or d.out_degrees[v] != 1:
-            pure11[lab] = False
+    """Component census via the connectivity kernel; for the balanced degree
+    profiles produced here weak and strong connectivity coincide
+    (cross-checked by scc_count in the tests)."""
+    n_comp, labels = cg._components(d.n, d.heads, tails=d.tails)
+    in_deg = np.asarray(d.in_degrees)
+    out_deg = np.asarray(d.out_degrees)
+    sizes = np.bincount(labels, minlength=n_comp)
+    degree_sum = np.bincount(labels, weights=in_deg + out_deg, minlength=n_comp)
+    not11 = np.bincount(labels, weights=(in_deg != 1) | (out_deg != 1), minlength=n_comp)
     counts: dict[int, int] = {}
-    for lab in range(n_comp):
-        if pure11[lab]:
-            k = sizes[lab]
-            counts[k] = counts.get(k, 0) + 1
-    giant = max(range(n_comp), key=lambda lab: sizes[lab])
+    for k in sizes[not11 == 0].tolist():
+        counts[k] = counts.get(k, 0) + 1
+    giant = int(np.argmax(sizes))
     return CycleCensus(
         counts=counts,
-        giant_size=sizes[giant],
+        giant_size=int(sizes[giant]),
         component_count=n_comp,
-        giant_degree_sum=degree_sum[giant],
+        giant_degree_sum=int(degree_sum[giant]),
     )
 
 
 def scc_count(d: Digraph) -> int:
-    """Strongly connected components, iterative Tarjan."""
-    n = d.n
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for t, h in zip(d.tails, d.heads):
-        succ[t].append(h)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = bytearray(n)
-    stack: list[int] = []
-    counter = itertools.count()
-    n_scc = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = next(counter)
-                stack.append(v)
-                on_stack[v] = 1
-            recurse = False
-            children = succ[v]
-            for ci in range(pi, len(children)):
-                w = children[ci]
-                if index[w] == -1:
-                    work[-1] = (v, ci + 1)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                n_scc += 1
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    if w == v:
-                        break
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return n_scc
+    """Strongly connected components."""
+    return cg._components(d.n, d.heads, tails=d.tails, strong=True)[0]
 
 
 def model_constants(base: BaseGraph) -> ModelConstants:
@@ -259,19 +190,9 @@ def quartic_constants(D: int) -> ModelConstants:
 def _deleted_color_piece_sizes(base: BaseGraph, j: int) -> list[int]:
     """Half-orders (black count = white count) of the pieces of the base
     graph after deleting color j."""
-    t = base.t
-    uf = UnionFind(2 * t)
-    for c in range(1, base.D + 1):
-        if c == j:
-            continue
-        img = base.pis[c - 1].images.tolist()
-        for k in range(t):
-            uf.union(k, t + img[k])
-    sizes: dict[int, int] = {}
-    for v in range(t):  # count blacks per piece
-        root = uf.find(v)
-        sizes[root] = sizes.get(root, 0) + 1
-    return list(sizes.values())
+    heads = np.stack([pi.images for c, pi in enumerate(base.pis, start=1) if c != j], axis=1)
+    _, labels = cg._components(2 * base.t, heads + base.t)
+    return np.bincount(labels[: base.t]).tolist()  # blacks per piece, by first appearance
 
 
 def load_degree_sequence(text: str) -> list[tuple[int, int]]:

@@ -35,45 +35,41 @@ class DualComplex:
 def build_dual_complex(G: cg.ColoredGraph, with_simplex_counts: bool = False) -> DualComplex:
     """Points from per-color bubble labels, edges from color-pair bubbles.
 
-    Disconnected graphs are allowed; the complex splits accordingly.
+    Point ids run color by color, in the kernel's first-appearance label
+    order; `edge_multiplicity` keeps its keys in order of first appearance
+    over the color pairs in lexicographic order and, within a pair, over the
+    (D-1)-bubbles by smallest vertex.  Disconnected graphs are allowed; the
+    complex splits accordingly.
     """
-    D, p = G.D, G.p
-    n2 = 2 * p
-    point_colors: list[int] = []
-    point_sizes: list[int] = []
-    point_of: list[list[int]] = []
-    for i in range(D + 1):
-        colors = [c for c in range(D + 1) if c != i]
-        labels, n_bubbles = cg.component_labels(G, colors)
-        offset = len(point_colors)
-        sizes = [0] * n_bubbles
-        for v in range(n2):
-            sizes[labels[v]] += 1
-        point_colors.extend([i] * n_bubbles)
-        point_sizes.extend(sizes)
-        point_of.append([offset + lab for lab in labels])
+    D = G.D
+    point_of = []
+    point_sizes = []
+    offset = 0
+    for i in G.colors:
+        labels, n_bubbles = cg.component_labels(G, [c for c in G.colors if c != i])
+        point_of.append(offset + labels.astype(np.int64))
+        point_sizes.append(np.bincount(labels, minlength=n_bubbles))
+        offset += n_bubbles
+    n_points = offset
 
-    multiplicity: dict[tuple[int, int], int] = {}
-    for i, j in itertools.combinations(range(D + 1), 2):
-        colors = [c for c in range(D + 1) if c != i and c != j]
-        if colors:
-            labels, n_bubbles = cg.component_labels(G, colors)
-            reps = [-1] * n_bubbles
-            for v in range(n2):
-                if reps[labels[v]] < 0:
-                    reps[labels[v]] = v
-            rep_vertices = reps
-        else:
-            rep_vertices = range(n2)  # D = 1: the vertices themselves
-        for v in rep_vertices:
-            u_pt, v_pt = point_of[i][v], point_of[j][v]
-            key = (u_pt, v_pt) if u_pt < v_pt else (v_pt, u_pt)
-            multiplicity[key] = multiplicity.get(key, 0) + 1
+    lo_parts, hi_parts = [], []
+    for i, j in itertools.combinations(G.colors, 2):
+        # D = 1 keeps no color: every vertex is its own (D-1)-bubble.
+        labels, _ = cg.component_labels(G, [c for c in G.colors if c != i and c != j])
+        reps = np.unique(labels, return_index=True)[1]
+        u, v = point_of[i][reps], point_of[j][reps]
+        lo_parts.append(np.minimum(u, v))
+        hi_parts.append(np.maximum(u, v))
+    lo, hi = np.concatenate(lo_parts), np.concatenate(hi_parts)
+    _, first, mult = np.unique(lo * n_points + hi, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    lo, hi, mult = lo[first[order]], hi[first[order]], mult[order]
+    multiplicity = dict(zip(zip(lo.tolist(), hi.tolist()), mult.tolist()))
 
-    adj: list[set[int]] = [set() for _ in range(len(point_colors))]
-    for (u, v) in multiplicity:
-        adj[u].add(v)
-        adj[v].add(u)
+    src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+    by_src = np.lexsort((dst, src))
+    nbrs = dst[by_src].tolist()
+    bounds = np.searchsorted(src[by_src], np.arange(n_points + 1)).tolist()
 
     counts = None
     if with_simplex_counts:
@@ -81,12 +77,12 @@ def build_dual_complex(G: cg.ColoredGraph, with_simplex_counts: bool = False) ->
         counts = {d: census[D - d] for d in range(D + 1)}
 
     return DualComplex(
-        n_points=len(point_colors),
-        point_colors=tuple(point_colors),
-        point_sizes=tuple(point_sizes),
-        adjacency=tuple(tuple(sorted(s)) for s in adj),
+        n_points=n_points,
+        point_colors=tuple(np.repeat(np.arange(D + 1), [s.size for s in point_sizes]).tolist()),
+        point_sizes=tuple(np.concatenate(point_sizes).tolist()),
+        adjacency=tuple(tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:])),
         edge_multiplicity=multiplicity,
-        point_by_color_vertex=tuple(tuple(col) for col in point_of),
+        point_by_color_vertex=tuple(tuple(col.tolist()) for col in point_of),
         simplex_counts=counts,
     )
 

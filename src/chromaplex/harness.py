@@ -325,7 +325,7 @@ def _trial(
             out["map_vertices"] = float(product_cycles(m.delta, m.psi))
     else:
         raise ValueError(f"unknown model {config.model!r}")
-    if config.distance_pairs and "dist2_frac" in want and config.model != "ribbon":
+    if "dist2_frac" in want:
         _distance_stats(G, config.distance_pairs, rng, out)
     missing = want - out.keys()
     if missing:
@@ -543,6 +543,32 @@ def _uncolored_k_rows(config, base, vals) -> list[ReportRow]:
     return rows
 
 
+def _check_distance_pairs(config: ExperimentConfig, want: frozenset[str]) -> None:
+    if config.distance_pairs < 0:
+        raise ValueError(f"distance_pairs must be >= 0, got {config.distance_pairs}")
+    if config.model == "ribbon" and "dist2_frac" in want:
+        raise ValueError(
+            "dist2_frac and distance_pairs are unsupported for model 'ribbon' "
+            "(a ribbon map has no dual complex)"
+        )
+    if "dist2_frac" in want and not config.distance_pairs:
+        raise ValueError("dist2_frac needs distance_pairs > 0")
+
+
+def _env_thread_cap() -> Optional[int]:
+    """The worker cap from CHROMAPLEX_THREADS, None when it is unset."""
+    text = os.environ.get(THREADS_ENV)
+    if text is None:
+        return None
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {text!r}")
+    return cap
+
+
 def run(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentReport:
     """Run the experiment and assemble verdict rows for every requested
     observable and distributional test."""
@@ -553,6 +579,7 @@ def run(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentRe
     want = _needed_observables(config)
     if not want:
         raise ValueError("no observables requested")
+    _check_distance_pairs(config, want)
     n = config.trials
     if n < 1:
         raise ValueError("need at least one trial")
@@ -561,9 +588,9 @@ def run(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentRe
         threads = config.threads
     if threads is None:
         threads = 1
-    env_cap = os.environ.get(THREADS_ENV)
+    env_cap = _env_thread_cap()
     if env_cap is not None:
-        threads = min(threads, int(env_cap))
+        threads = min(threads, env_cap)
     threads = max(1, min(threads, n))
 
     if threads == 1:

@@ -20,7 +20,6 @@ from .perm import (
     sample_fixed_point_free_involution,
     sample_uniform_permutation,
 )
-from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -119,14 +118,11 @@ def base_components(base: BaseGraph) -> list[list[int]]:
     """Connected components of the base graph; vertices listed 1-based as
     blacks 1..t then whites t+1..2t."""
     t = base.t
-    uf = UnionFind(2 * t)
-    for pi in base.pis:
-        for k in range(t):
-            uf.union(k, t + int(pi.images[k]))
-    comps: dict[int, list[int]] = {}
-    for v in range(2 * t):
-        comps.setdefault(uf.find(v), []).append(v + 1)
-    return list(comps.values())
+    n_comp, labels = cg._components(2 * t, np.stack([pi.images for pi in base.pis], axis=1) + t)
+    comps: list[list[int]] = [[] for _ in range(n_comp)]
+    for v, lab in enumerate(labels.tolist()):
+        comps[lab].append(v + 1)
+    return comps
 
 
 def make_base_graph(D: int, t: int, pis: Sequence[Permutation]) -> BaseGraph:
@@ -229,14 +225,7 @@ def ribbon_component_count(m: RibbonMap) -> int:
     delta and psi on the half-edges."""
     if m.is_empty:
         raise ValueError("empty ribbon map")
-    n = 2 * m.p
-    uf = UnionFind(n)
-    d = m.delta.images.tolist()
-    s = m.psi.images.tolist()
-    for k in range(n):
-        uf.union(k, d[k])
-        uf.union(k, s[k])
-    return uf.n_components
+    return cg._components(2 * m.p, np.stack((m.delta.images, m.psi.images), axis=1))[0]
 
 
 def ribbon_is_connected(m: RibbonMap) -> bool:

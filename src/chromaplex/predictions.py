@@ -6,6 +6,7 @@ the sharp next-order error term so the harness can widen tolerances.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -331,10 +332,15 @@ def predict(
     base: Optional[BaseGraph] = None,
 ) -> Prediction:
     """Closed-form prediction for one observable of one model."""
+    return _predict(model, observable, D, p, base, harmonic)
+
+
+def _predict(model, observable, D, p, base, h) -> Prediction:
+    """`predict` with the exact harmonic numbers taken from `h`."""
     if model == "uniform":
-        return _predict_uniform(observable, D, p)
+        return _predict_uniform(observable, D, p, h)
     if model == "quartic":
-        return _predict_quartic(observable, D, p)
+        return _predict_quartic(observable, D, p, h)
     if model == "ribbon":
         return _predict_ribbon(observable, p)
     if model == "uncolored":
@@ -361,7 +367,7 @@ def _need(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def _predict_uniform(obs: str, D: int, p: int) -> Prediction:
+def _predict_uniform(obs: str, D: int, p: int, h) -> Prediction:
     _need(D is not None and D >= 1 and p is not None and p >= 1, "need D >= 1, p >= 1")
     if obs == "connected":
         if D == 1:
@@ -373,7 +379,7 @@ def _predict_uniform(obs: str, D: int, p: int) -> Prediction:
         )
     if obs == "components":
         if D == 1:
-            return _mk("uniform", obs, D, p, harmonic(p), EXACT, 0.0, "H_p")
+            return _mk("uniform", obs, D, p, h(p), EXACT, 0.0, "H_p")
         return _mk(
             "uniform", obs, D, p, 1.0, ASYMPTOTIC, p ** (-(D - 1)), "1 + O(1/p^(D-1))"
         )
@@ -386,7 +392,7 @@ def _predict_uniform(obs: str, D: int, p: int) -> Prediction:
     if obs == "b2":
         return _mk(
             "uniform", obs, D, p,
-            Fraction(D * (D + 1), 2) * harmonic(p),
+            Fraction(D * (D + 1), 2) * h(p),
             EXACT, 0.0, "D(D+1)/2 * H_p",
         )
     if obs == "b2_var":
@@ -397,11 +403,11 @@ def _predict_uniform(obs: str, D: int, p: int) -> Prediction:
         )
     if obs == "jacket_faces":
         return _mk(
-            "uniform", obs, D, p, (D + 1) * harmonic(p), EXACT, 0.0, "(D+1) * H_p"
+            "uniform", obs, D, p, (D + 1) * h(p), EXACT, 0.0, "(D+1) * H_p"
         )
     if obs == "gurau_degree":
         _need(D >= 2, "degree needs D >= 2")
-        b2 = Fraction(D * (D + 1), 2) * harmonic(p)
+        b2 = Fraction(D * (D + 1), 2) * h(p)
         return _mk(
             "uniform", obs, D, p, _degree_from_b2(D, p, b2), EXACT, 0.0,
             "(D-1)!/2 * (D(D-1)/2*p + D - E[b2])",
@@ -409,7 +415,7 @@ def _predict_uniform(obs: str, D: int, p: int) -> Prediction:
     raise ValueError(f"unsupported uniform observable {obs!r}")
 
 
-def _predict_quartic(obs: str, D: int, p: int) -> Prediction:
+def _predict_quartic(obs: str, D: int, p: int, h) -> Prediction:
     _need(D is not None and D >= 2 and p is not None and p >= 1, "need D >= 2, p >= 1")
     if obs == "connected":
         return _mk(
@@ -422,7 +428,7 @@ def _predict_quartic(obs: str, D: int, p: int) -> Prediction:
     if obs == "b2":
         return _mk(
             "quartic", obs, D, p,
-            (D - 1) ** 2 * p + D * harmonic(2 * p),
+            (D - 1) ** 2 * p + D * h(2 * p),
             EXACT, 0.0, "(D-1)^2 p + D * H_2p",
         )
     if obs == "b2_var":
@@ -442,7 +448,7 @@ def _predict_quartic(obs: str, D: int, p: int) -> Prediction:
         if D == 2:
             return _mk(
                 "quartic", obs, D, p,
-                p + 2 * harmonic(2 * p),
+                p + 2 * h(2 * p),
                 EXACT, 0.0, "p + 2 H_2p",
             )
         return _mk(
@@ -455,13 +461,13 @@ def _predict_quartic(obs: str, D: int, p: int) -> Prediction:
         lam = quartic_constants(D).lambda_k(k)
         return _mk("quartic", obs, D, p, lam, ASYMPTOTIC, 0.0, f"1/({k} D^{k})")
     if obs == "jacket_faces":
-        value = Fraction(2 * p * (D - 1) ** 2, D) + 2 * harmonic(2 * p)
+        value = Fraction(2 * p * (D - 1) ** 2, D) + 2 * h(2 * p)
         return _mk(
             "quartic", obs, D, p, value, EXACT, 0.0,
             "2p(D-1)^2/D + 2 H_2p",
         )
     if obs == "gurau_degree":
-        b2 = (D - 1) ** 2 * p + D * harmonic(2 * p)
+        b2 = (D - 1) ** 2 * p + D * h(2 * p)
         return _mk(
             "quartic", obs, D, p, _degree_from_b2(D, 2 * p, b2), EXACT, 0.0,
             "(D-1)!/2 * (D(D-1)/2*2p + D - E[b2])",
@@ -536,11 +542,14 @@ def prediction_table(
     p: Optional[int] = None,
     base: Optional[BaseGraph] = None,
 ) -> list[Prediction]:
-    """All predictions available for a model at these parameters."""
+    """All predictions available for a model at these parameters.  Rows
+    share one exact harmonic number per argument, computed on first use;
+    the memo lives for this call only."""
+    h = functools.cache(harmonic)
     rows = []
     for obs in _TABLE_OBSERVABLES[model]:
         try:
-            rows.append(predict(model, obs, D=D, p=p, base=base))
+            rows.append(_predict(model, obs, D, p, base, h))
         except ValueError:
             continue  # observable not defined at these parameters
     return rows

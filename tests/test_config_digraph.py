@@ -156,6 +156,12 @@ class TestAnalyze:
             tails=(0, 1, 2), heads=(1, 0, 2),
         )
         assert cd.scc_count(d2) == 2
+        # parallel arcs, as in quotient digraphs
+        d3 = cd.Digraph(
+            in_degrees=(2, 2), out_degrees=(2, 2),
+            tails=(0, 0, 1, 1), heads=(1, 1, 0, 0),
+        )
+        assert cd.scc_count(d3) == 1
 
     def test_giant_component_emerges(self):
         # quartic degree profile at D=3: giant covers almost everything

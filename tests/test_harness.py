@@ -234,6 +234,12 @@ class TestRun:
         report = run(self._config(trials=50), threads=4)
         assert report.all_pass or True  # just exercising the capped path
 
+    @pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-2"])
+    def test_bad_env_threads_rejected(self, monkeypatch, value):
+        monkeypatch.setenv(harness.THREADS_ENV, value)
+        with pytest.raises(ValueError, match=harness.THREADS_ENV):
+            run(self._config(trials=5))
+
     def test_ks_and_parity_rows(self):
         config = ExperimentConfig(
             model="uniform", p=200, trials=400, seed=5, D=3,
@@ -319,3 +325,19 @@ class TestRun:
         )
         report = run(config)
         assert 0.5 < report.row("dist2_frac").mean <= 1.0
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(model="quartic", D=3, distance_pairs=-5), "distance_pairs must be >= 0"),
+            (dict(model="quartic", D=3, observables=("dist2_frac",)), "needs distance_pairs > 0"),
+            (dict(model="ribbon", observables=("genus",), distance_pairs=10), "unsupported for model 'ribbon'"),
+        ],
+    )
+    def test_bad_distance_pairs_rejected_before_sampling(self, monkeypatch, kw, message):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_run_chunk", no_trials)
+        with pytest.raises(ValueError, match=message):
+            run(self._config(**kw))
