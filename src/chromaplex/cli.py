@@ -17,6 +17,7 @@ import numpy as np
 from . import colored_graph as cg
 from . import dual_complex as dc
 from . import harness, models, predictions
+from .observables import SAMPLERS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,24 +59,16 @@ def _rational(value: Fraction) -> str:
 
 
 def _cmd_sample(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    if args.model in ("uniform", "quartic") and args.D is None:
+        raise SystemExit2(f"--D is required for the {args.model} model")
+    if args.model == "uncolored" and not args.base:
+        raise SystemExit2("--base is required for the uncolored model")
+    base = models.load_base_graph(args.base) if args.model == "uncolored" else None
+    sample = SAMPLERS[args.model](args, base, np.random.default_rng(args.seed))
     if args.model == "ribbon":
-        m = models.sample_ribbon_map(args.p, rng)
-        text = f"ribbon {m.p}\n{m.delta.serialize()}\n{m.psi.serialize()}\n"
-    elif args.model == "uniform":
-        if args.D is None:
-            raise SystemExit2("--D is required for the uniform model")
-        text = cg.to_text(models.sample_uniform_model(args.D, args.p, rng))
-    elif args.model == "quartic":
-        if args.D is None:
-            raise SystemExit2("--D is required for the quartic model")
-        G, _ = models.sample_quartic_model(args.D, args.p, rng)
-        text = cg.to_text(G)
+        text = f"ribbon {sample.p}\n{sample.delta.serialize()}\n{sample.psi.serialize()}\n"
     else:
-        if not args.base:
-            raise SystemExit2("--base is required for the uncolored model")
-        base = models.load_base_graph(args.base)
-        text = cg.to_text(models.sample_uncolored_model(base, args.p, rng))
+        text = cg.to_text(sample)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -9,6 +9,7 @@ color order) and the degree derived from jacket genera are all computed here.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -166,15 +167,28 @@ def face_count(G: ColoredGraph, i: int, j: int) -> int:
     return product_cycles(G.alphas[i], G.alphas[j])
 
 
+def face_total(G: ColoredGraph) -> int:
+    """b_2(G), the number of faces summed over all color pairs."""
+    return sum(
+        product_cycles(G.alphas[i], G.alphas[j])
+        for i, j in itertools.combinations(G.colors, 2)
+    )
+
+
+def degree_from_b2(D: int, half_order: int, b2) -> Fraction:
+    """(D-1)!/2 * (D(D-1)/2 * P + D - b2) for a graph on 2P vertices with b2
+    faces; b2 may be a predicted mean face count.  D is not checked."""
+    return Fraction(math.factorial(D - 1), 2) * (
+        Fraction(D * (D - 1), 2) * half_order + D - b2
+    )
+
+
 def bubble_census(G: ColoredGraph) -> dict[int, int]:
     """b_k(G) for k = 0..D+1, bubble counts summed over color subsets of
     size k.  b_2 goes through permutation products, the rest through the
     connectivity kernel."""
     D, p = G.D, G.p
-    census = {0: 2 * p, 1: (D + 1) * p}
-    census[2] = sum(
-        face_count(G, i, j) for i, j in itertools.combinations(range(D + 1), 2)
-    )
+    census = {0: 2 * p, 1: (D + 1) * p, 2: face_total(G)}
     for k in range(3, D + 2):
         census[k] = sum(
             count_bubbles(G, subset)
@@ -223,14 +237,9 @@ def jacket_genus(G: ColoredGraph, spec: JacketSpec) -> Fraction:
 
 def gurau_degree_via_faces(G: ColoredGraph) -> Fraction:
     """(D-1)!/2 * (D(D-1)/2 * p + D - b_2(G)), exact arithmetic."""
-    D = G.D
-    if D < 2:
+    if G.D < 2:
         raise ValueError("degree is defined for D >= 2")
-    b2 = sum(face_count(G, i, j) for i, j in itertools.combinations(range(D + 1), 2))
-    fact = 1
-    for m in range(2, D):
-        fact *= m
-    return Fraction(fact, 2) * (Fraction(D * (D - 1), 2) * G.p + D - b2)
+    return degree_from_b2(G.D, G.p, face_total(G))
 
 
 def gurau_degree_via_jackets(G: ColoredGraph) -> Fraction:

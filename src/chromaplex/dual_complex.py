@@ -139,11 +139,3 @@ def point_color_census(cx: DualComplex) -> dict[int, int]:
         census[c] = census.get(c, 0) + 1
     return census
 
-
-def export_text(cx: DualComplex) -> str:
-    """One line per point: "point_id color : neighbor ids...". """
-    lines = []
-    for pid in range(cx.n_points):
-        nbrs = " ".join(str(w) for w in cx.adjacency[pid])
-        lines.append(f"{pid} {cx.point_colors[pid]} :" + (f" {nbrs}" if nbrs else ""))
-    return "\n".join(lines) + "\n"

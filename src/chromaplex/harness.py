@@ -22,10 +22,10 @@ import scipy.stats
 
 from . import colored_graph as cg
 from . import config_digraph as cd
-from . import dual_complex as dc
 from . import models
 from . import predictions as pred
-from .perm import Permutation, count_cycles, product_cycles
+from .observables import OBSERVABLES, SAMPLERS, Kernel, kernels_for
+from .perm import Permutation, count_cycles
 
 THREADS_ENV = "CHROMAPLEX_THREADS"
 
@@ -231,122 +231,32 @@ def format_config(config: ExperimentConfig) -> str:
 # per-trial observable computation
 
 
-def _needed_observables(config: ExperimentConfig) -> frozenset[str]:
-    need = set(config.observables)
-    for spec in config.ks:
-        obs, _, cond = spec.partition("|")
-        need.add(obs)
-        if cond:
-            need.add(cond)
-    need.update(config.dispersion)
-    if config.distance_pairs:
-        need.add("dist2_frac")
-    return frozenset(need)
-
-
-def _graph_common(G: cg.ColoredGraph, want, out: dict[str, float]) -> None:
-    if "connected" in want or "components" in want:
-        k = cg.component_count(G)
-        out["connected"] = 1.0 if k == 1 else 0.0
-        out["components"] = float(k)
-    b2 = None
-    if "b2" in want or "gurau_degree" in want:
-        b2 = sum(
-            cg.face_count(G, i, j)
-            for i, j in itertools.combinations(range(G.D + 1), 2)
-        )
-        out["b2"] = float(b2)
-    if "gurau_degree" in want:
-        fact = math.factorial(G.D - 1)
-        out["gurau_degree"] = fact / 2 * (G.D * (G.D - 1) / 2 * G.p + G.D - b2)
-    if "bD" in want:
-        out["bD"] = float(
-            sum(
-                cg.count_bubbles(G, [c for c in range(G.D + 1) if c != i])
-                for i in range(G.D + 1)
-            )
-        )
-    if "jacket_faces" in want or "jacket_parity_ok" in want:
-        F = cg.jacket_faces(G, cg.canonical_jacket(G.D))
-        out["jacket_faces"] = float(F)
-        out["jacket_parity_ok"] = 1.0 if ((G.D + 1) * G.p - F) % 2 == 0 else 0.0
-
-
-def _quotient_stats(G: cg.ColoredGraph, want, out: dict[str, float]) -> None:
-    census = cd.analyze(cd.quotient_digraph(G, 1))
-    out["k_of_S"] = float(census.component_count)
-    out["giant_cover"] = float(census.giant_degree_sum)
-    for name in ("C1", "C2", "C3", "C4"):
-        out[name] = float(census.counts.get(int(name[1:]), 0))
-
-
-def _distance_stats(
-    G: cg.ColoredGraph, pairs: int, rng: np.random.Generator, out: dict[str, float]
-) -> None:
-    cx = dc.build_dual_complex(G)
-    hits = 0
-    for _ in range(pairs):
-        if dc.sample_pair_distance(cx, rng) == 2:
-            hits += 1
-    out["dist2_frac"] = hits / pairs
-
-
 def _trial(
     config: ExperimentConfig,
     base: Optional[models.BaseGraph],
-    want: frozenset[str],
+    kernels: list[Kernel],
     rng: np.random.Generator,
-) -> dict[str, float]:
-    out: dict[str, float] = {}
-    if config.model == "uniform":
-        G = models.sample_uniform_model(config.D, config.p, rng)
-        _graph_common(G, want, out)
-    elif config.model == "quartic":
-        G, _ = models.sample_quartic_model(config.D, config.p, rng)
-        _graph_common(G, want, out)
-        if want & {"k_of_S", "giant_cover", "C1", "C2", "C3", "C4"}:
-            _quotient_stats(G, want, out)
-    elif config.model == "uncolored":
-        G = models.sample_uncolored_model(base, config.p, rng)
-        _graph_common(G, want, out)
-        if want & {"k_of_S", "giant_cover", "C1", "C2", "C3", "C4"}:
-            _quotient_stats(G, want, out)
-    elif config.model == "ribbon":
-        m = models.sample_ribbon_map(config.p, rng)
-        if "genus" in want:
-            out["genus"] = float(models.ribbon_genus(m))
-        if "connected" in want or "components" in want:
-            k = models.ribbon_component_count(m)
-            out["connected"] = 1.0 if k == 1 else 0.0
-            out["components"] = float(k)
-        if "faces" in want:
-            out["faces"] = float(count_cycles(m.psi.images))
-        if "map_vertices" in want:
-            out["map_vertices"] = float(product_cycles(m.delta, m.psi))
-    else:
-        raise ValueError(f"unknown model {config.model!r}")
-    if "dist2_frac" in want:
-        _distance_stats(G, config.distance_pairs, rng, out)
-    missing = want - out.keys()
-    if missing:
-        raise ValueError(
-            f"observables {sorted(missing)} unsupported for model {config.model!r}"
-        )
-    return out
+) -> dict:
+    sample = SAMPLERS[config.model](config, base, rng)
+    values: dict = {}
+    for kernel in kernels:
+        kernel(sample, values, config, rng)
+    return values
 
 
 def _run_chunk(
     config: ExperimentConfig,
     base: Optional[models.BaseGraph],
-    want: frozenset[str],
+    want: set[str],
     lo: int,
     hi: int,
 ) -> dict[str, np.ndarray]:
     names = sorted(want)
+    kernels = kernels_for(names)
     arrays = {name: np.empty(hi - lo) for name in names}
     for t in range(lo, hi):
         rng = substream(config.seed, t)
-        row = _trial(config, base, want, rng)
+        row = _trial(config, base, kernels, rng)
         for name in names:
             arrays[name][t - lo] = row[name]
     return arrays
@@ -364,11 +274,11 @@ class ReportRow:
     mean: float
     variance: float
     se: float
-    target: Optional[float]
-    statistic: Optional[float]
-    p_value: Optional[float]
-    tolerance: Optional[float]
-    verdict: str         # PASS | FAIL | INFO
+    target: Optional[float] = None
+    statistic: Optional[float] = None
+    p_value: Optional[float] = None
+    tolerance: Optional[float] = None
+    verdict: str = "INFO"  # PASS | FAIL | INFO
     note: str = ""
 
 
@@ -434,16 +344,6 @@ def report_summary(report: ExperimentReport) -> str:
 # test wiring
 
 
-_MEAN_TESTED = {
-    ("uniform", "b2"), ("uniform", "components"), ("uniform", "bD"),
-    ("uniform", "jacket_faces"), ("uniform", "gurau_degree"),
-    ("quartic", "b2"), ("quartic", "components"), ("quartic", "k_of_S"),
-    ("quartic", "bD"), ("quartic", "C1"), ("quartic", "C2"), ("quartic", "C3"),
-    ("quartic", "jacket_faces"), ("quartic", "gurau_degree"),
-    ("ribbon", "genus"), ("uncolored", "components"),
-}
-
-
 def _stats(vals: np.ndarray) -> tuple[float, float, float]:
     mean = float(vals.mean())
     var = float(vals.var(ddof=1)) if vals.size > 1 else 0.0
@@ -458,32 +358,29 @@ def _prediction_for(config, base, obs) -> Optional[pred.Prediction]:
         return None
 
 
-def _mean_row(config, obs, vals, prediction) -> ReportRow:
+def _row(name: str, kind: str, vals: np.ndarray, **fields) -> ReportRow:
+    """A row over the samples `vals`, with their size, mean, variance and
+    standard error."""
     mean, var, se = _stats(vals)
+    return ReportRow(name=name, kind=kind, n=vals.size, mean=mean, variance=var, se=se, **fields)
+
+
+def _tested_row(config, obs, kind, vals, prediction) -> ReportRow:
+    """A mean row (z test) or a proportion row (binomial sigma) against the
+    prediction, widened by its error order."""
+    mean, _, se = _stats(vals)
     target = prediction.as_float()
-    slack = config.slack_factor * prediction.error_order
-    tol = config.z_threshold * se + slack
-    z = (mean - target) / se if se > 0 else math.inf
-    verdict = "PASS" if abs(mean - target) <= tol else "FAIL"
-    return ReportRow(
-        name=obs, kind="mean", n=vals.size, mean=mean, variance=var, se=se,
-        target=target, statistic=z, p_value=None, tolerance=tol, verdict=verdict,
-        note=prediction.anchor,
-    )
-
-
-def _proportion_row(config, obs, vals, prediction) -> ReportRow:
-    mean, var, se = _stats(vals)
-    q = prediction.as_float()
-    sigma = math.sqrt(max(q * (1 - q), 0.0) / vals.size)
-    slack = config.slack_factor * prediction.error_order
-    tol = config.proportion_sigma * sigma + slack
-    stat = (mean - q) / sigma if sigma > 0 else math.inf
-    verdict = "PASS" if abs(mean - q) <= tol else "FAIL"
-    return ReportRow(
-        name=obs, kind="proportion", n=vals.size, mean=mean, variance=var, se=se,
-        target=q, statistic=stat, p_value=None, tolerance=tol, verdict=verdict,
-        note=prediction.anchor,
+    if kind == "proportion":
+        spread = math.sqrt(max(target * (1 - target), 0.0) / vals.size)
+        tol = config.proportion_sigma * spread
+    else:
+        spread = se
+        tol = config.z_threshold * spread
+    tol += config.slack_factor * prediction.error_order
+    return _row(
+        obs, kind, vals, target=target,
+        statistic=(mean - target) / spread if spread > 0 else math.inf, tolerance=tol,
+        verdict="PASS" if abs(mean - target) <= tol else "FAIL", note=prediction.anchor,
     )
 
 
@@ -491,66 +388,62 @@ def _var_row(config, base, vals) -> Optional[ReportRow]:
     prediction = _prediction_for(config, base, "b2_var")
     if prediction is None:
         return None
-    mean, var, se = _stats(vals)
+    var = _stats(vals)[1]
     target = prediction.as_float()
     if config.model == "uniform":
         ratio = var / target
         lo, hi = config.var_band
-        verdict = "PASS" if lo <= ratio <= hi else "FAIL"
-        return ReportRow(
-            name="b2_var", kind="var-band", n=vals.size, mean=mean, variance=var,
-            se=se, target=target, statistic=ratio, p_value=None,
-            tolerance=hi, verdict=verdict, note=f"band [{lo}..{hi}] vs {prediction.anchor}",
+        return _row(
+            "b2_var", "var-band", vals, target=target, statistic=ratio, tolerance=hi,
+            verdict="PASS" if lo <= ratio <= hi else "FAIL",
+            note=f"band [{lo}..{hi}] vs {prediction.anchor}",
         )
-    verdict = "PASS" if var <= target else "FAIL"
-    return ReportRow(
-        name="b2_var", kind="var-bound", n=vals.size, mean=mean, variance=var,
-        se=se, target=target, statistic=var / target, p_value=None,
-        tolerance=target, verdict=verdict, note=prediction.anchor,
+    return _row(
+        "b2_var", "var-bound", vals, target=target, statistic=var / target,
+        tolerance=target, verdict="PASS" if var <= target else "FAIL", note=prediction.anchor,
     )
 
 
 def _uncolored_k_rows(config, base, vals) -> list[ReportRow]:
     """Compare against both cycle-sum variants and record which matches."""
-    mean, var, se = _stats(vals)
+    mean, _, se = _stats(vals)
     constants = cd.model_constants(base)
     rows = []
     matched = []
     for label, include_k1 in (("k>=1", True), ("k>=2", False)):
         target = constants.expected_components(include_k1)
         tol = config.z_threshold * se
-        ok = abs(mean - target) <= tol
-        if ok:
+        if abs(mean - target) <= tol:
             matched.append(label)
         rows.append(
-            ReportRow(
-                name=f"k_of_S[{label}]", kind="mean", n=vals.size, mean=mean,
-                variance=var, se=se, target=target,
+            _row(
+                f"k_of_S[{label}]", "mean", vals, target=target,
                 statistic=(mean - target) / se if se > 0 else math.inf,
-                p_value=None, tolerance=tol, verdict="INFO",
-                note=f"1 + cycle sum from {label}",
+                tolerance=tol, note=f"1 + cycle sum from {label}",
             )
         )
-    verdict = "PASS" if len(matched) == 1 else "FAIL"
     rows.append(
-        ReportRow(
-            name="k_of_S.variant", kind="invariant", n=vals.size, mean=mean,
-            variance=var, se=se, target=None, statistic=None, p_value=None,
-            tolerance=None, verdict=verdict,
+        _row(
+            "k_of_S.variant", "invariant", vals,
+            verdict="PASS" if len(matched) == 1 else "FAIL",
             note="matched " + ("+".join(matched) if matched else "none"),
         )
     )
     return rows
 
 
-def _check_distance_pairs(config: ExperimentConfig, want: frozenset[str]) -> None:
+def _check_request(config: ExperimentConfig, want: set[str]) -> None:
+    """Reject, before any trial, what no trial of the model can measure."""
     if config.distance_pairs < 0:
         raise ValueError(f"distance_pairs must be >= 0, got {config.distance_pairs}")
-    if config.model == "ribbon" and "dist2_frac" in want:
-        raise ValueError(
-            "dist2_frac and distance_pairs are unsupported for model 'ribbon' "
-            "(a ribbon map has no dual complex)"
-        )
+    if config.model not in SAMPLERS:
+        raise ValueError(f"unknown model {config.model!r}")
+    unknown = sorted(want - OBSERVABLES.keys())
+    if unknown:
+        raise ValueError(f"unknown observables {unknown}")
+    unsupported = sorted(n for n in want if config.model not in OBSERVABLES[n].models)
+    if unsupported:
+        raise ValueError(f"observables {unsupported} unsupported for model {config.model!r}")
     if "dist2_frac" in want and not config.distance_pairs:
         raise ValueError("dist2_frac needs distance_pairs > 0")
 
@@ -576,10 +469,17 @@ def run(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentRe
     base = models.load_base_graph(config.base_path) if config.base_path else None
     if config.model == "uncolored" and base is None:
         raise ValueError("uncolored model needs a base graph path")
-    want = _needed_observables(config)
+    want = set(config.observables) | set(config.dispersion)
+    for spec in config.ks:
+        name, _, cond = spec.partition("|")
+        want.add(name)
+        if cond:
+            want.add(cond)
+    if config.distance_pairs:
+        want.add("dist2_frac")
     if not want:
         raise ValueError("no observables requested")
-    _check_distance_pairs(config, want)
+    _check_request(config, want)
     n = config.trials
     if n < 1:
         raise ValueError("need at least one trial")
@@ -588,6 +488,8 @@ def run(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentRe
         threads = config.threads
     if threads is None:
         threads = 1
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     env_cap = _env_thread_cap()
     if env_cap is not None:
         threads = min(threads, env_cap)
@@ -615,79 +517,53 @@ def run(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentRe
         }
 
     rows: list[ReportRow] = []
-    for obs in config.observables:
-        vals = samples[obs]
-        if obs == "connected":
-            prediction = _prediction_for(config, base, "connected")
-            if prediction is not None:
-                rows.append(_proportion_row(config, obs, vals, prediction))
-                continue
-        if obs == "jacket_parity_ok":
-            ok = bool(np.all(vals == 1.0))
-            mean, var, se = _stats(vals)
-            rows.append(
-                ReportRow(
-                    name=obs, kind="invariant", n=vals.size, mean=mean,
-                    variance=var, se=se, target=1.0, statistic=None, p_value=None,
-                    tolerance=0.0, verdict="PASS" if ok else "FAIL",
-                    note="(D+1)p - F even on every trial",
-                )
-            )
+    for name in config.observables:
+        vals = samples[name]
+        kind = OBSERVABLES[name].tests.get(config.model, "info")
+        if kind == "invariant":
+            rows.append(_row(
+                name, kind, vals, target=1.0, tolerance=0.0,
+                verdict="PASS" if np.all(vals == 1.0) else "FAIL",
+                note="(D+1)p - F even on every trial",
+            ))
             continue
-        if config.model == "uncolored" and obs == "k_of_S":
+        if kind == "variant":
             rows.extend(_uncolored_k_rows(config, base, vals))
             continue
-        if (config.model, obs) in _MEAN_TESTED:
-            prediction = _prediction_for(config, base, obs)
-            if prediction is not None:
-                rows.append(_mean_row(config, obs, vals, prediction))
-                if obs == "b2":
-                    var_row = _var_row(config, base, vals)
-                    if var_row is not None:
-                        rows.append(var_row)
-                continue
-        mean, var, se = _stats(vals)
-        rows.append(
-            ReportRow(
-                name=obs, kind="info", n=vals.size, mean=mean, variance=var,
-                se=se, target=None, statistic=None, p_value=None, tolerance=None,
-                verdict="INFO",
-            )
-        )
+        prediction = None if kind == "info" else _prediction_for(config, base, name)
+        if prediction is None:
+            rows.append(_row(name, "info", vals))
+            continue
+        rows.append(_tested_row(config, name, kind, vals, prediction))
+        if name == "b2":
+            var_row = _var_row(config, base, vals)
+            if var_row is not None:
+                rows.append(var_row)
 
     for idx, spec in enumerate(config.ks):
         obs, _, cond = spec.partition("|")
         vals = samples[obs]
         if cond:
             vals = vals[samples[cond] == 1.0]
-        rng = substream(config.seed, 2**31 + idx)
-        result = ks_normality(vals, rng=rng)
-        mean, var, se = _stats(vals)
-        verdict = "PASS" if result.p_value >= config.ks_alpha else "FAIL"
-        rows.append(
-            ReportRow(
-                name=f"ks:{spec}", kind="ks", n=result.n, mean=mean, variance=var,
-                se=se, target=None, statistic=result.statistic,
-                p_value=result.p_value, tolerance=config.ks_alpha, verdict=verdict,
-                note=f"jitter +/-{result.jitter}",
-            )
-        )
+        result = ks_normality(vals, rng=substream(config.seed, 2**31 + idx))
+        rows.append(_row(
+            f"ks:{spec}", "ks", vals, statistic=result.statistic, p_value=result.p_value,
+            tolerance=config.ks_alpha,
+            verdict="PASS" if result.p_value >= config.ks_alpha else "FAIL",
+            note=f"jitter +/-{result.jitter}",
+        ))
 
     for obs in config.dispersion:
         vals = samples[obs]
         prediction = _prediction_for(config, base, obs)
         rate = prediction.as_float() if prediction is not None else float(vals.mean())
         result = dispersion_test(vals, rate, band=config.dispersion_band)
-        mean, var, se = _stats(vals)
-        rows.append(
-            ReportRow(
-                name=f"dispersion:{obs}", kind="dispersion", n=vals.size, mean=mean,
-                variance=var, se=se, target=rate, statistic=result.index,
-                p_value=result.p_value, tolerance=config.dispersion_band[1],
-                verdict="PASS" if result.in_band else "FAIL",
-                note=f"index band [{config.dispersion_band[0]}..{config.dispersion_band[1]}]",
-            )
-        )
+        lo, hi = config.dispersion_band
+        rows.append(_row(
+            f"dispersion:{obs}", "dispersion", vals, target=rate, statistic=result.index,
+            p_value=result.p_value, tolerance=hi,
+            verdict="PASS" if result.in_band else "FAIL", note=f"index band [{lo}..{hi}]",
+        ))
 
     report = ExperimentReport(
         config=config, rows=rows, samples=samples,
@@ -746,17 +622,11 @@ def exhaustive_oracle(D: int, p: int, limit: int = 10**7) -> UniformOracle:
     sum_deg = Fraction(0)
     sum_faces = 0
     jacket = cg.canonical_jacket(D)
-    prefactor = Fraction(math.factorial(D - 1), 2) if D >= 2 else None
     for alphas in itertools.product(perms, repeat=D + 1):
         G = cg.ColoredGraph(D=D, p=p, alphas=alphas)
         k = cg.component_count(G)
-        b2 = sum(
-            cg.face_count(G, i, j) for i, j in itertools.combinations(range(D + 1), 2)
-        )
-        if prefactor is not None:
-            deg = prefactor * (Fraction(D * (D - 1), 2) * p + D - b2)
-        else:
-            deg = Fraction(0)
+        b2 = cg.face_total(G)
+        deg = cg.degree_from_b2(D, p, b2) if D >= 2 else Fraction(0)
         F = cg.jacket_faces(G, jacket)
         key = (k == 1, k, b2, deg, F)
         counter[key] = counter.get(key, 0) + 1

@@ -17,8 +17,10 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .colored_graph import degree_from_b2
 from .config_digraph import model_constants, quartic_constants
 from .models import BaseGraph
+from .observables import OBSERVABLES, SAMPLERS
 
 try:
     from gmpy2 import mpq
@@ -310,20 +312,6 @@ class Prediction:
         return float(self.value)
 
 
-def _degree_prefactor(D: int) -> Fraction:
-    fact = math.factorial(D - 1)
-    return Fraction(fact, 2)
-
-
-def _degree_from_b2(D: int, half_order: int, b2_mean) -> Union[Fraction, float]:
-    """Degree formula (D-1)!/2 * (D(D-1)/2 * P + D - b2) evaluated at the
-    predicted mean face count; P is half the vertex count of the graph."""
-    lead = Fraction(D * (D - 1), 2) * half_order + D
-    if isinstance(b2_mean, Fraction):
-        return _degree_prefactor(D) * (lead - b2_mean)
-    return float(_degree_prefactor(D)) * (float(lead) - b2_mean)
-
-
 def predict(
     model: str,
     observable: str,
@@ -407,9 +395,9 @@ def _predict_uniform(obs: str, D: int, p: int, h) -> Prediction:
         )
     if obs == "gurau_degree":
         _need(D >= 2, "degree needs D >= 2")
-        b2 = Fraction(D * (D + 1), 2) * h(p)
+        b2 = _predict_uniform("b2", D, p, h).value
         return _mk(
-            "uniform", obs, D, p, _degree_from_b2(D, p, b2), EXACT, 0.0,
+            "uniform", obs, D, p, degree_from_b2(D, p, b2), EXACT, 0.0,
             "(D-1)!/2 * (D(D-1)/2*p + D - E[b2])",
         )
     raise ValueError(f"unsupported uniform observable {obs!r}")
@@ -467,9 +455,9 @@ def _predict_quartic(obs: str, D: int, p: int, h) -> Prediction:
             "2p(D-1)^2/D + 2 H_2p",
         )
     if obs == "gurau_degree":
-        b2 = (D - 1) ** 2 * p + D * h(2 * p)
+        b2 = _predict_quartic("b2", D, p, h).value
         return _mk(
-            "quartic", obs, D, p, _degree_from_b2(D, 2 * p, b2), EXACT, 0.0,
+            "quartic", obs, D, p, degree_from_b2(D, 2 * p, b2), EXACT, 0.0,
             "(D-1)!/2 * (D(D-1)/2*2p + D - E[b2])",
         )
     raise ValueError(f"unsupported quartic observable {obs!r}")
@@ -526,16 +514,6 @@ def _predict_uncolored(obs: str, D, p: int, base: BaseGraph) -> Prediction:
     raise ValueError(f"unsupported uncolored observable {obs!r}")
 
 
-_TABLE_OBSERVABLES = {
-    "uniform": ("connected", "components", "b2", "b2_var", "jacket_faces",
-                "gurau_degree", "bD"),
-    "quartic": ("connected", "components", "b2", "b2_var", "jacket_faces",
-                "gurau_degree", "k_of_S", "bD", "C1", "C2"),
-    "ribbon": ("connected", "genus"),
-    "uncolored": ("connected", "components", "k_of_S", "bD"),
-}
-
-
 def prediction_table(
     model: str,
     D: Optional[int] = None,
@@ -545,11 +523,15 @@ def prediction_table(
     """All predictions available for a model at these parameters.  Rows
     share one exact harmonic number per argument, computed on first use;
     the memo lives for this call only."""
+    if model not in SAMPLERS:
+        raise ValueError(f"unknown model {model!r}")
     h = functools.cache(harmonic)
     rows = []
-    for obs in _TABLE_OBSERVABLES[model]:
+    for entry in OBSERVABLES.values():
+        if model not in entry.table:
+            continue
         try:
-            rows.append(_predict(model, obs, D, p, base, h))
+            rows.append(_predict(model, entry.name, D, p, base, h))
         except ValueError:
             continue  # observable not defined at these parameters
     return rows

@@ -152,3 +152,10 @@ class TestExperiment:
         _, first, _ = invoke(capsys, "experiment", "--config", str(config))
         _, second, _ = invoke(capsys, "experiment", "--config", str(config))
         assert first == second
+
+    def test_zero_threads_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text("model = ribbon\np = 10\ntrials = 5\nseed = 2\nobservables = genus\n")
+        code, _, err = invoke(capsys, "experiment", "--config", str(config), "--threads", "0")
+        assert code == 2
+        assert "threads" in err

@@ -211,13 +211,6 @@ class TestCensusAndHub:
             frac = sum(pid in hub_adj for pid in zero_points) / len(zero_points)
             assert frac >= 0.9
 
-    def test_export_format(self):
-        cx = dc.build_dual_complex(melon(2))
-        lines = dc.export_text(cx).splitlines()
-        assert len(lines) == cx.n_points
-        first_id, color, colon = lines[0].split()[:3]
-        assert first_id == "0" and colon == ":"
-
     def test_uniform_point_count_concentrates(self):
         # D = 3 at moderate p: the point count is almost always D+1
         rng = rng_for(12)

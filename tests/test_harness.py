@@ -23,6 +23,10 @@ from chromaplex.harness import (
 from chromaplex.models import base_to_text, quartic_base
 
 
+def _no_trials(*args):
+    raise AssertionError("a trial ran")
+
+
 class TestSubstream:
     def test_deterministic_and_distinct(self):
         a = substream(7, 3).integers(1 << 30, size=4)
@@ -341,3 +345,92 @@ class TestRun:
         monkeypatch.setattr(harness, "_run_chunk", no_trials)
         with pytest.raises(ValueError, match=message):
             run(self._config(**kw))
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(model="tetrahedral"), "unknown model 'tetrahedral'"),
+            (dict(observables=("b2", "bogus")), r"unknown observables \['bogus'\]"),
+            (dict(observables=("genus",)), "unsupported for model 'uniform'"),
+            (dict(ks=("b2|genus",)), r"\['genus'\] unsupported"),
+            (dict(ks=("C1|connected",)), r"\['C1'\] unsupported"),
+            (dict(dispersion=("faces",)), r"\['faces'\] unsupported"),
+            (dict(model="ribbon", observables=("genus", "b2_var")), r"\['b2_var'\] unsupported"),
+            (dict(threads=0), "threads must be >= 1, got 0"),
+            (dict(threads=-3), "threads must be >= 1, got -3"),
+        ],
+    )
+    def test_bad_request_rejected_before_sampling(self, monkeypatch, kw, message):
+        monkeypatch.setattr(harness, "_run_chunk", _no_trials)
+        with pytest.raises(ValueError, match=message):
+            run(self._config(**kw))
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_bad_threads_argument_rejected(self, monkeypatch, threads):
+        monkeypatch.setattr(harness, "_run_chunk", _no_trials)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run(self._config(), threads=threads)
+
+    def test_threads_clamped_to_trials(self):
+        report = run(self._config(trials=2, threads=5))
+        assert report.samples["b2"].size == 2
+
+
+_UNIFORM_ROWS = {
+    "connected": [("connected", "proportion")],
+    "components": [("components", "mean")],
+    "b2": [("b2", "mean"), ("b2_var", "var-band")],
+    "bD": [("bD", "mean")],
+    "gurau_degree": [("gurau_degree", "mean")],
+    "jacket_faces": [("jacket_faces", "mean")],
+    "jacket_parity_ok": [("jacket_parity_ok", "invariant")],
+    "dist2_frac": [("dist2_frac", "info")],
+}
+_QUARTIC_ROWS = {
+    **_UNIFORM_ROWS,
+    "b2": [("b2", "mean"), ("b2_var", "var-bound")],
+    **{name: [(name, "mean")] for name in ("k_of_S", "C1", "C2", "C3")},
+    **{name: [(name, "info")] for name in ("C4", "giant_cover")},
+}
+_UNCOLORED_ROWS = {
+    "connected": [("connected", "proportion")],
+    "components": [("components", "mean")],
+    "k_of_S": [("k_of_S[k>=1]", "mean"), ("k_of_S[k>=2]", "mean"),
+               ("k_of_S.variant", "invariant")],
+    "jacket_parity_ok": [("jacket_parity_ok", "invariant")],
+    **{name: [(name, "info")] for name in (
+        "b2", "bD", "gurau_degree", "jacket_faces", "giant_cover",
+        "C1", "C2", "C3", "C4", "dist2_frac")},
+}
+_RIBBON_ROWS = {
+    "connected": [("connected", "proportion")],
+    "genus": [("genus", "mean")],
+    **{name: [(name, "info")] for name in ("components", "faces", "map_vertices")},
+}
+
+
+@pytest.fixture(scope="module")
+def quartic_base_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("base") / "base.txt"
+    path.write_text(base_to_text(quartic_base(3)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "model, D, observable, rows",
+    [("uniform", 3, obs, rows) for obs, rows in _UNIFORM_ROWS.items()]
+    + [("uniform", 2, "bD", [("bD", "info")])]  # no prediction at D = 2
+    + [("quartic", 3, obs, rows) for obs, rows in _QUARTIC_ROWS.items()]
+    + [("uncolored", None, obs, rows) for obs, rows in _UNCOLORED_ROWS.items()]
+    + [("ribbon", None, obs, rows) for obs, rows in _RIBBON_ROWS.items()],
+)
+def test_row_kinds_per_observable(quartic_base_path, model, D, observable, rows):
+    config = ExperimentConfig(
+        model=model, p=20, trials=12, seed=3, D=D,
+        base_path=quartic_base_path if model == "uncolored" else None,
+        observables=(observable,),
+        distance_pairs=10 if observable == "dist2_frac" else 0,
+    )
+    report = run(config)
+    assert [(r.name, r.kind) for r in report.rows] == rows
+    assert sorted(report.samples) == [observable]

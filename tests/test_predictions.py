@@ -255,6 +255,29 @@ class TestTable:
     def test_table_skips_unsupported(self):
         rows = pr.prediction_table("uniform", D=2, p=10)
         assert "bD" not in {r.observable for r in rows}
+        with pytest.raises(ValueError, match="unknown model"):
+            pr.prediction_table("nonsense", D=2, p=10)
+
+    @pytest.mark.parametrize(
+        "model, D, observables",
+        [
+            ("uniform", 3, ["connected", "components", "b2", "b2_var", "jacket_faces",
+                            "gurau_degree", "bD"]),
+            ("uniform", 2, ["connected", "components", "b2", "b2_var", "jacket_faces",
+                            "gurau_degree"]),
+            ("uniform", 1, ["connected", "components", "b2", "b2_var", "jacket_faces"]),
+            ("quartic", 3, ["connected", "components", "b2", "b2_var", "jacket_faces",
+                            "gurau_degree", "k_of_S", "bD", "C1", "C2"]),
+            ("quartic", 2, ["connected", "components", "b2", "b2_var", "jacket_faces",
+                            "gurau_degree", "bD", "C1", "C2"]),
+            ("uncolored", None, ["connected", "components", "k_of_S", "bD"]),
+            ("ribbon", None, ["connected", "genus"]),
+        ],
+    )
+    def test_table_rows_in_order(self, model, D, observables):
+        base = models.quartic_base(3) if model == "uncolored" else None
+        rows = pr.prediction_table(model, D=D, p=50, base=base)
+        assert [r.observable for r in rows] == observables
 
     def test_format_value(self):
         assert pr.format_value(Fraction(3, 4)) == "3/4"
