@@ -124,16 +124,17 @@ def _cmd_inspect(args) -> int:
     if first == "ribbon":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         p = int(lines[0].split()[1])
-        from .perm import Permutation, count_cycles, product_cycles
+        from .perm import Permutation
 
         delta = Permutation.deserialize(lines[1])
         psi = Permutation.deserialize(lines[2])
         m = models.RibbonMap(p=p, delta=delta, psi=psi)
         k = models.ribbon_component_count(m)
+        faces, vertices, genus = models.ribbon_cycles(m)
         print(f"ribbon map: p={p} half-edges={2 * p}")
         print(f"connected: {'yes' if k == 1 else f'no (components = {k})'}")
-        print(f"faces = {count_cycles(psi.images)}; vertices = {product_cycles(delta, psi)}")
-        print(f"genus = {models.ribbon_genus(m)}")
+        print(f"faces = {faces}; vertices = {vertices}")
+        print(f"genus = {genus}")
         return 0
     G = cg.from_text(text)
     census = cg.bubble_census(G)

@@ -4,7 +4,8 @@ A graph on 2p labelled vertices (black 1..p, white 1..p) is a tuple
 (alpha_0, ..., alpha_D) of permutations of {1..p}: color i joins black k to
 white alpha_i(k).  Faces (bicolored cycles), bubbles (components of
 color-restricted subgraphs), jackets (regular embeddings induced by a cyclic
-color order) and the degree derived from jacket genera are all computed here.
+color order) and the degree derived from jacket genera are all computed here,
+faces and bubbles alike as components on one csgraph kernel.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .perm import Permutation, product_cycles
+from .perm import Permutation
 
 
 @dataclass(frozen=True)
@@ -159,20 +160,38 @@ def component_labels(G: ColoredGraph, colors: Iterable[int]) -> tuple[np.ndarray
     return labels, n_comp
 
 
+def cycle_counts(images: np.ndarray) -> np.ndarray:
+    """Cycle count of each row of a (k, n) stack of 0-based permutation
+    images, in one kernel call: row r is the functional graph on vertices
+    r*n..r*n+n-1, and its cycles are that graph's components."""
+    k, n = images.shape
+    heads = images + np.arange(0, k * n, n)[:, None]
+    rows = _components(k * n, heads.reshape(-1, 1))[1].reshape(k, n)
+    # first-appearance labels: row r's cycles are labelled rows[r, 0]..max(rows[r])
+    return rows.max(axis=1) - rows[:, 0] + 1
+
+
+def face_counts(G: ColoredGraph, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
+    """Number of {i,j}-faces, the cycles of alpha_i o alpha_j^{-1}, for each
+    (i, j) in `pairs`, from one kernel call.  Colors are not checked."""
+    pairs = list(pairs)
+    prods = np.empty((len(pairs), G.p), dtype=np.int64)
+    for r, (i, j) in enumerate(pairs):
+        prods[r, G.alphas[j].images] = G.alphas[i].images
+    return cycle_counts(prods)
+
+
 def face_count(G: ColoredGraph, i: int, j: int) -> int:
     """Number of {i,j}-faces: cycles of alpha_i o alpha_j^{-1}."""
     _check_colors(G, (i, j))
     if i == j:
         raise ValueError("a face needs two distinct colors")
-    return product_cycles(G.alphas[i], G.alphas[j])
+    return int(face_counts(G, [(i, j)])[0])
 
 
 def face_total(G: ColoredGraph) -> int:
     """b_2(G), the number of faces summed over all color pairs."""
-    return sum(
-        product_cycles(G.alphas[i], G.alphas[j])
-        for i, j in itertools.combinations(G.colors, 2)
-    )
+    return int(face_counts(G, itertools.combinations(G.colors, 2)).sum())
 
 
 def degree_from_b2(D: int, half_order: int, b2) -> Fraction:
@@ -185,8 +204,8 @@ def degree_from_b2(D: int, half_order: int, b2) -> Fraction:
 
 def bubble_census(G: ColoredGraph) -> dict[int, int]:
     """b_k(G) for k = 0..D+1, bubble counts summed over color subsets of
-    size k.  b_2 goes through permutation products, the rest through the
-    connectivity kernel."""
+    size k.  b_2 counts the cycles of permutation products, the rest count
+    components of color-restricted subgraphs."""
     D, p = G.D, G.p
     census = {0: 2 * p, 1: (D + 1) * p, 2: face_total(G)}
     for k in range(3, D + 2):
@@ -220,19 +239,28 @@ def all_jackets(D: int) -> Iterable[JacketSpec]:
         yield JacketSpec(tau=tuple(tau))
 
 
+def _jacket_pairs(G: ColoredGraph, spec: JacketSpec) -> list[tuple[int, int]]:
+    """The color pairs {i, tau(i)} whose faces make up the jacket."""
+    if len(spec.tau) != G.D + 1:
+        raise ValueError("jacket cycle length does not match the color count")
+    return [(i, spec.tau[i]) for i in G.colors]
+
+
 def jacket_faces(G: ColoredGraph, spec: JacketSpec) -> int:
     """Face count of the regular embedding induced by the color cycle:
     sum over i of the {i, tau(i)} face counts."""
-    if len(spec.tau) != G.D + 1:
-        raise ValueError("jacket cycle length does not match the color count")
-    return sum(product_cycles(G.alphas[i], G.alphas[spec.tau[i]]) for i in G.colors)
+    return int(face_counts(G, _jacket_pairs(G, spec)).sum())
+
+
+def _genus_from_faces(G: ColoredGraph, F: int) -> Fraction:
+    """Euler's relation 2 - 2g = F - (D+1)p + 2p for an embedding of G with
+    F faces; integral for connected graphs."""
+    return Fraction(2 - F + (G.D - 1) * G.p, 2)
 
 
 def jacket_genus(G: ColoredGraph, spec: JacketSpec) -> Fraction:
-    """Genus of the embedding from Euler's relation
-    2 - 2g = F - (D+1)p + 2p; integral for connected graphs."""
-    F = jacket_faces(G, spec)
-    return Fraction(2 - F + (G.D - 1) * G.p, 2)
+    """Genus of the jacket's embedding, from its face count."""
+    return _genus_from_faces(G, jacket_faces(G, spec))
 
 
 def gurau_degree_via_faces(G: ColoredGraph) -> Fraction:
@@ -243,7 +271,9 @@ def gurau_degree_via_faces(G: ColoredGraph) -> Fraction:
 
 
 def gurau_degree_via_jackets(G: ColoredGraph) -> Fraction:
-    """Half the sum of jacket genera over all D! color cycles.
+    """Half the sum of jacket genera over all D! color cycles, every jacket's
+    faces summed from one face count per color pair (an {i,j}-face is a
+    {j,i}-face).
 
     Refuses disconnected input: Euler's relation only pins the genus of a
     connected embedding.
@@ -252,9 +282,12 @@ def gurau_degree_via_jackets(G: ColoredGraph) -> Fraction:
         raise ValueError("degree is defined for D >= 2")
     if not is_connected(G):
         raise ValueError("degree via jackets needs a connected graph")
+    pairs = list(itertools.combinations(G.colors, 2))
+    faces = dict(zip(pairs, face_counts(G, pairs).tolist()))
     total = Fraction(0)
     for spec in all_jackets(G.D):
-        total += jacket_genus(G, spec)
+        F = sum(faces[min(i, j), max(i, j)] for i, j in _jacket_pairs(G, spec))
+        total += _genus_from_faces(G, F)
     return total / 2
 
 

@@ -390,6 +390,13 @@ def _var_row(config, base, vals) -> Optional[ReportRow]:
         return None
     var = _stats(vals)[1]
     target = prediction.as_float()
+    if target == 0:
+        # b2 is constant (uniform at p = 1): no ratio, the variance must be 0 exactly
+        return _row(
+            "b2_var", "var-band" if config.model == "uniform" else "var-bound", vals,
+            target=target, statistic=var, tolerance=0.0,
+            verdict="PASS" if var == 0 else "FAIL", note=f"exact vs {prediction.anchor}",
+        )
     if config.model == "uniform":
         ratio = var / target
         lo, hi = config.var_band

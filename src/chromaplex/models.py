@@ -1,7 +1,8 @@
 """Samplers for the random graph models and uniform ribbon maps.
 
 Three colored-graph ensembles (uniform tuple, quartic, recolored-copies) plus
-the uniform ribbon map, its Euler genus, and the dangling-half-edge trim.
+the uniform ribbon map, its cycle counts and Euler genus, and the
+dangling-half-edge trim.
 All samplers are pure functions of their RNG stream; the draw order is fixed
 so results are reproducible from (seed, trial index).
 """
@@ -15,8 +16,6 @@ import numpy as np
 from . import colored_graph as cg
 from .perm import (
     Permutation,
-    count_cycles,
-    product_cycles,
     sample_fixed_point_free_involution,
     sample_uniform_permutation,
 )
@@ -203,21 +202,31 @@ def sample_ribbon_map(p: int, rng: np.random.Generator) -> RibbonMap:
     return RibbonMap(p=p, delta=delta, psi=psi)
 
 
-def ribbon_genus(m: RibbonMap) -> int:
-    """Global Euler genus g = 1 + (p - O(psi) - O(delta o psi^{-1})) / 2.
+def ribbon_cycles(m: RibbonMap) -> tuple[int, int, int]:
+    """(faces, vertices, genus) of a map: the cycle counts O(psi) and
+    O(delta o psi^{-1}) from one kernel call, and the global Euler genus
+    g = 1 + (p - O(psi) - O(delta o psi^{-1})) / 2.
 
-    Defined through chi = F - E + V even for disconnected maps (then g can
-    be negative); always an integer because O(psi) + O(delta psi^{-1}) has
-    the parity of p.
+    The genus is defined through chi = F - E + V even for disconnected maps
+    (then g can be negative); always an integer because O(psi) +
+    O(delta psi^{-1}) has the parity of p.
     """
     if m.is_empty:
         raise ValueError("empty ribbon map has no genus")
-    faces = count_cycles(m.psi.images)
-    vertices = product_cycles(m.delta, m.psi)
+    psi = m.psi.images
+    stack = np.empty((2, psi.size), dtype=np.int64)
+    stack[0] = psi
+    stack[1, psi] = m.delta.images  # delta o psi^{-1}
+    faces, vertices = cg.cycle_counts(stack).tolist()
     num = m.p - faces - vertices
     if num % 2:
         raise AssertionError("parity violation: delta is not a pairing?")
-    return 1 + num // 2
+    return faces, vertices, 1 + num // 2
+
+
+def ribbon_genus(m: RibbonMap) -> int:
+    """Global Euler genus of the map (see `ribbon_cycles`)."""
+    return ribbon_cycles(m)[2]
 
 
 def ribbon_component_count(m: RibbonMap) -> int:

@@ -5,7 +5,8 @@ it from one sampled graph or map, the observables that kernel reads, how the
 harness tests it on each model, and the models whose prediction table lists
 it.  A kernel may set several observables at once (the component count
 behind `connected` and `components`, the jacket face count behind
-`jacket_faces` and `jacket_parity_ok`, the quotient census), so a trial runs
+`jacket_faces` and `jacket_parity_ok`, the ribbon cycle counts behind
+`faces`, `map_vertices` and `genus`, the quotient census), so a trial runs
 each needed kernel once.  Kernels store ints, bools and Fractions; the
 harness keeps them as floats.
 """
@@ -18,7 +19,6 @@ from . import colored_graph as cg
 from . import config_digraph as cd
 from . import dual_complex as dc
 from . import models
-from .perm import count_cycles, product_cycles
 
 # sampler(config, base, rng) -> one graph or map; config supplies D and p
 SAMPLERS: dict[str, Callable] = {
@@ -76,16 +76,11 @@ def _dist2(G, values, config, rng) -> None:
     values["dist2_frac"] = sum(dc.sample_pair_distance(cx, rng) == 2 for _ in range(pairs)) / pairs
 
 
-def _genus(m, values, config, rng) -> None:
-    values["genus"] = models.ribbon_genus(m)
-
-
-def _faces(m, values, config, rng) -> None:
-    values["faces"] = count_cycles(m.psi.images)
-
-
-def _map_vertices(m, values, config, rng) -> None:
-    values["map_vertices"] = product_cycles(m.delta, m.psi)
+def _ribbon(m, values, config, rng) -> None:
+    faces, vertices, genus = models.ribbon_cycles(m)
+    values["faces"] = faces
+    values["map_vertices"] = vertices
+    values["genus"] = genus
 
 
 @dataclass(frozen=True)
@@ -128,9 +123,9 @@ OBSERVABLES: dict[str, Observable] = {o.name: o for o in (
     Observable("giant_cover", _QUOTIENT, _quotient),
     Observable("jacket_parity_ok", _GRAPHS, _jacket, tests=dict.fromkeys(_GRAPHS, "invariant")),
     Observable("dist2_frac", _GRAPHS, _dist2),
-    Observable("genus", _RIBBON, _genus, tests={"ribbon": "mean"}, table=_RIBBON),
-    Observable("faces", _RIBBON, _faces),
-    Observable("map_vertices", _RIBBON, _map_vertices),
+    Observable("genus", _RIBBON, _ribbon, tests={"ribbon": "mean"}, table=_RIBBON),
+    Observable("faces", _RIBBON, _ribbon),
+    Observable("map_vertices", _RIBBON, _ribbon),
 )}
 
 

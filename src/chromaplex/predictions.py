@@ -26,7 +26,7 @@ try:
     from gmpy2 import mpq
 
     _HAVE_GMPY2 = True
-except ImportError:  # gmpy2 is declared but optional: without it harmonic()
+except ImportError:  # gmpy2 is an optional extra: without it harmonic()
     _HAVE_GMPY2 = False  # runs _harmonic_exact and harmonic_var sums Fractions
 
 _BLOCK = 256

@@ -1,6 +1,8 @@
-"""The csgraph connectivity kernel against a reference union-find, and the
-numpy dual complex against a dict/set reference built on it."""
+"""The csgraph connectivity kernel against a reference union-find, the
+numpy dual complex against a dict/set reference built on it, and the batched
+cycle counts behind faces, jackets and ribbon genus against pointer chasing."""
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given
@@ -10,7 +12,7 @@ from chromaplex import colored_graph as cg
 from chromaplex import config_digraph as cd
 from chromaplex import dual_complex as dc
 from chromaplex import models
-from chromaplex.perm import Permutation
+from chromaplex.perm import Permutation, count_cycles, product_cycles
 
 
 def reference_components(n, edges):
@@ -118,3 +120,52 @@ def test_ribbon_components_match_union_find(p, seed):
 def test_scc_count_equals_weak_count_on_balanced_digraphs(degrees, seed):
     d = cd.sample_directed_config_model([(k, k) for k in degrees], np.random.default_rng(seed))
     assert cd.scc_count(d) == cd.analyze(d).component_count
+
+
+@st.composite
+def permutation_stacks(draw):
+    """(k, n) stacks of permutation images; rows may be the identity or a
+    single n-cycle."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 60))
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("random", "identity", "n-cycle")))
+        if kind == "identity":
+            rows.append(list(range(n)))
+        elif kind == "n-cycle":
+            rows.append([(x + 1) % n for x in range(n)])
+        else:
+            rows.append(draw(st.permutations(range(n))))
+    return np.array(rows, dtype=np.int64).reshape(k, n)
+
+
+@given(permutation_stacks())
+def test_cycle_counts_match_pointer_chasing(stack):
+    assert cg.cycle_counts(stack).tolist() == [count_cycles(row) for row in stack]
+
+
+@given(colored_graphs())
+def test_face_and_jacket_counts_match_pointer_chasing(G):
+    faces = {(i, j): product_cycles(G.alphas[i], G.alphas[j])
+             for i in G.colors for j in G.colors if i != j}
+    assert cg.face_total(G) == sum(faces[i, j] for i, j in itertools.combinations(G.colors, 2))
+    for (i, j), count in faces.items():
+        assert cg.face_count(G, i, j) == count
+    genera = []
+    for spec in cg.all_jackets(G.D):
+        F = sum(faces[i, spec.tau[i]] for i in G.colors)
+        genera.append(Fraction(2 - F + (G.D - 1) * G.p, 2))
+        assert cg.jacket_faces(G, spec) == F
+        assert cg.jacket_genus(G, spec) == genera[-1]
+    if G.D >= 2 and cg.is_connected(G):
+        assert cg.gurau_degree_via_jackets(G) == sum(genera, Fraction(0)) / 2
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_ribbon_cycles_match_pointer_chasing(p, seed):
+    m = models.sample_ribbon_map(p, np.random.default_rng(seed))
+    faces = count_cycles(m.psi.images)
+    vertices = product_cycles(m.delta, m.psi)
+    assert models.ribbon_cycles(m) == (faces, vertices, 1 + (p - faces - vertices) // 2)
+    assert models.ribbon_genus(m) == 1 + (p - faces - vertices) // 2

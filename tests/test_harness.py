@@ -220,6 +220,14 @@ class TestRun:
         assert report.row("b2").verdict in ("PASS", "FAIL")
         assert report.all_pass  # generous tolerances at these sizes
 
+    def test_zero_predicted_variance_checked_exactly(self):
+        # b2 is constant at p = 1, where the predicted variance D(D+1)/2 ln p is 0
+        report = run(self._config(p=1, trials=5, seed=1, observables=("b2",)))
+        row = report.row("b2_var")
+        assert (row.target, row.statistic, row.tolerance) == (0.0, 0.0, 0.0)
+        assert row.verdict == "PASS"
+        assert "b2_var" in report_csv(report)
+
     def test_bit_identical_reports(self):
         a = run(self._config())
         b = run(self._config())
