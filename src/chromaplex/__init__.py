@@ -50,11 +50,10 @@ from .predictions import Prediction, harmonic, harmonic_var, predict
 from .harness import (
     ExperimentConfig,
     ExperimentReport,
-    exhaustive_oracle,
-    exhaustive_ribbon_oracle,
     ks_normality,
     run,
     substream,
 )
+from .oracles import exhaustive_oracle, exhaustive_ribbon_oracle
 
 __version__ = "0.1.0"

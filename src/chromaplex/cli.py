@@ -16,7 +16,7 @@ import numpy as np
 
 from . import colored_graph as cg
 from . import dual_complex as dc
-from . import harness, models, predictions
+from . import harness, models, oracles, predictions
 from .observables import SAMPLERS
 
 
@@ -101,7 +101,7 @@ def _cmd_oracle(args) -> int:
     if args.model == "uniform":
         if args.D is None:
             raise SystemExit2("--D is required for the uniform oracle")
-        oracle = harness.exhaustive_oracle(args.D, args.p)
+        oracle = oracles.exhaustive_oracle(args.D, args.p)
         print(f"uniform D={oracle.D} p={oracle.p}: {oracle.total} permutation tuples")
         print(f"P(connected) = {_rational(oracle.p_connected)}")
         print(f"E[k] = {_rational(oracle.mean_components)}")
@@ -109,7 +109,7 @@ def _cmd_oracle(args) -> int:
         print(f"E[degree] = {_rational(oracle.mean_degree)}")
         print(f"E[jacket_faces] = {_rational(oracle.mean_jacket_faces)}")
     else:
-        oracle = harness.exhaustive_ribbon_oracle(args.p)
+        oracle = oracles.exhaustive_ribbon_oracle(args.p)
         print(f"ribbon p={oracle.p}: {oracle.total} (pairing, faces) pairs")
         print(f"P(connected) = {_rational(oracle.p_connected)}")
         print(f"E[genus] = {_rational(oracle.mean_genus)}")

@@ -160,15 +160,24 @@ def component_labels(G: ColoredGraph, colors: Iterable[int]) -> tuple[np.ndarray
     return labels, n_comp
 
 
+def block_components(heads: np.ndarray) -> np.ndarray:
+    """Component count of each block of a (k, n, w) stack of disjoint graphs,
+    in one kernel call: vertex v of block r has w arcs, to the block's
+    vertices heads[r, v] (0-based; self-loops and repeats allowed)."""
+    k, n, w = heads.shape
+    offsets = np.arange(0, k * n, n)[:, None, None]
+    # Vertex k*n is an extra isolated one.  Labels number components by first
+    # appearance, so block r's labels run from its vertex 0's label up to
+    # block r+1's, and the extra vertex's label is the total.
+    firsts = _components(k * n + 1, (heads + offsets).reshape(-1, w))[1][::n]
+    return firsts[1:] - firsts[:-1]
+
+
 def cycle_counts(images: np.ndarray) -> np.ndarray:
     """Cycle count of each row of a (k, n) stack of 0-based permutation
-    images, in one kernel call: row r is the functional graph on vertices
-    r*n..r*n+n-1, and its cycles are that graph's components."""
-    k, n = images.shape
-    heads = images + np.arange(0, k * n, n)[:, None]
-    rows = _components(k * n, heads.reshape(-1, 1))[1].reshape(k, n)
-    # first-appearance labels: row r's cycles are labelled rows[r, 0]..max(rows[r])
-    return rows.max(axis=1) - rows[:, 0] + 1
+    images: row r is a functional graph, and its cycles are that graph's
+    components."""
+    return block_components(images[:, :, None])
 
 
 def face_counts(G: ColoredGraph, pairs: Iterable[tuple[int, int]]) -> np.ndarray:

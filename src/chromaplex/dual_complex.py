@@ -25,14 +25,13 @@ class DualComplex:
     adjacency: tuple[tuple[int, ...], ...]  # deduplicated neighbor lists
     edge_multiplicity: dict[tuple[int, int], int]
     point_by_color_vertex: tuple[tuple[int, ...], ...]  # [color][vertex] -> point id
-    simplex_counts: Optional[dict[int, int]] = None
 
     @property
     def n_edges(self) -> int:
         return len(self.edge_multiplicity)
 
 
-def build_dual_complex(G: cg.ColoredGraph, with_simplex_counts: bool = False) -> DualComplex:
+def build_dual_complex(G: cg.ColoredGraph) -> DualComplex:
     """Points from per-color bubble labels, edges from color-pair bubbles.
 
     Point ids run color by color, in the kernel's first-appearance label
@@ -71,11 +70,6 @@ def build_dual_complex(G: cg.ColoredGraph, with_simplex_counts: bool = False) ->
     nbrs = dst[by_src].tolist()
     bounds = np.searchsorted(src[by_src], np.arange(n_points + 1)).tolist()
 
-    counts = None
-    if with_simplex_counts:
-        census = cg.bubble_census(G)
-        counts = {d: census[D - d] for d in range(D + 1)}
-
     return DualComplex(
         n_points=n_points,
         point_colors=tuple(np.repeat(np.arange(D + 1), [s.size for s in point_sizes]).tolist()),
@@ -83,7 +77,6 @@ def build_dual_complex(G: cg.ColoredGraph, with_simplex_counts: bool = False) ->
         adjacency=tuple(tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:])),
         edge_multiplicity=multiplicity,
         point_by_color_vertex=tuple(tuple(col.tolist()) for col in point_of),
-        simplex_counts=counts,
     )
 
 

@@ -1,5 +1,4 @@
-"""Monte Carlo experiment runner, statistical tests, and exhaustive
-small-instance oracles.
+"""Monte Carlo experiment runner and statistical tests.
 
 Each trial owns a private RNG stream derived from (master seed, trial
 index), so reports are bit-identical across runs and across worker counts.
@@ -8,24 +7,20 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.stats
 
-from . import colored_graph as cg
 from . import config_digraph as cd
 from . import models
 from . import predictions as pred
 from .observables import OBSERVABLES, SAMPLERS, Kernel, kernels_for
-from .perm import Permutation, count_cycles
 
 THREADS_ENV = "CHROMAPLEX_THREADS"
 
@@ -508,16 +503,8 @@ def run(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentRe
         bounds = np.linspace(0, n, threads + 1, dtype=int)
         chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(
-                pool.map(
-                    _run_chunk,
-                    itertools.repeat(config),
-                    itertools.repeat(base),
-                    itertools.repeat(want),
-                    (lo for lo, _ in chunks),
-                    (hi for _, hi in chunks),
-                )
-            )
+            futures = [pool.submit(_run_chunk, config, base, want, lo, hi) for lo, hi in chunks]
+            parts = [future.result() for future in futures]
         samples = {
             name: np.concatenate([part[name] for part in parts])
             for name in sorted(want)
@@ -593,131 +580,3 @@ def write_report(report: ExperimentReport) -> None:
             path = f"{prefix}.{name}.samples"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(repr(v) for v in report.samples[name].tolist()) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# exhaustive oracles
-
-
-@dataclass(frozen=True)
-class UniformOracle:
-    D: int
-    p: int
-    total: int
-    p_connected: Fraction
-    mean_components: Fraction
-    mean_b2: Fraction
-    mean_degree: Fraction
-    mean_jacket_faces: Fraction
-    joint: dict[tuple[bool, int, int, Fraction, int], Fraction]
-
-
-def exhaustive_oracle(D: int, p: int, limit: int = 10**7) -> UniformOracle:
-    """Exact distribution of (connected, components, b2, degree, jacket
-    faces) by iterating every permutation tuple."""
-    total = math.factorial(p) ** (D + 1)
-    if total > limit:
-        raise ValueError(f"state space {total} exceeds the bound {limit}")
-    perms = [
-        Permutation(np.array(images, dtype=np.int64), _trusted=True)
-        for images in itertools.permutations(range(p))
-    ]
-    counter: dict[tuple[bool, int, int, Fraction, int], int] = {}
-    conn = 0
-    sum_k = 0
-    sum_b2 = 0
-    sum_deg = Fraction(0)
-    sum_faces = 0
-    jacket = cg.canonical_jacket(D)
-    for alphas in itertools.product(perms, repeat=D + 1):
-        G = cg.ColoredGraph(D=D, p=p, alphas=alphas)
-        k = cg.component_count(G)
-        b2 = cg.face_total(G)
-        deg = cg.degree_from_b2(D, p, b2) if D >= 2 else Fraction(0)
-        F = cg.jacket_faces(G, jacket)
-        key = (k == 1, k, b2, deg, F)
-        counter[key] = counter.get(key, 0) + 1
-        conn += k == 1
-        sum_k += k
-        sum_b2 += b2
-        sum_deg += deg
-        sum_faces += F
-    return UniformOracle(
-        D=D, p=p, total=total,
-        p_connected=Fraction(conn, total),
-        mean_components=Fraction(sum_k, total),
-        mean_b2=Fraction(sum_b2, total),
-        mean_degree=sum_deg / total,
-        mean_jacket_faces=Fraction(sum_faces, total),
-        joint={key: Fraction(cnt, total) for key, cnt in counter.items()},
-    )
-
-
-def _fpf_involutions(n: int):
-    """All fixed-point-free involutions of {0..n-1} as image lists."""
-    points = list(range(n))
-
-    def rec(remaining: list[int], img: list[int]):
-        if not remaining:
-            yield list(img)
-            return
-        a = remaining[0]
-        for idx in range(1, len(remaining)):
-            b = remaining[idx]
-            img[a], img[b] = b, a
-            rest = remaining[1:idx] + remaining[idx + 1 :]
-            yield from rec(rest, img)
-
-    yield from rec(points, [0] * n)
-
-
-@dataclass(frozen=True)
-class RibbonOracle:
-    p: int
-    total: int
-    p_connected: Fraction
-    mean_genus: Fraction
-    parity_ok: bool
-    joint: dict[tuple[int, int, bool, int], Fraction]  # (faces, vertices, connected, genus)
-
-
-def exhaustive_ribbon_oracle(p: int, limit: int = 10**7) -> RibbonOracle:
-    """Exact joint law of (faces, vertices, connected, genus) over every
-    (pairing, face permutation) pair."""
-    n = 2 * p
-    total = math.prod(range(1, n, 2)) * math.factorial(n)
-    if total > limit:
-        raise ValueError(f"state space {total} exceeds the bound {limit}")
-    counter: dict[tuple[int, int, bool, int], int] = {}
-    conn = 0
-    genus_sum = 0
-    parity_ok = True
-    deltas = list(_fpf_involutions(n))
-    for psi in itertools.permutations(range(n)):
-        psi_arr = np.array(psi, dtype=np.int64)
-        faces = count_cycles(psi)
-        for d in deltas:
-            prod = [0] * n
-            for k in range(n):
-                prod[psi[k]] = d[k]  # delta o psi^{-1}
-            vertices = count_cycles(prod)
-            if (faces + vertices - p) % 2:
-                parity_ok = False
-            genus = 1 + (p - faces - vertices) // 2
-            m = models.RibbonMap(
-                p=p,
-                delta=Permutation(np.array(d, dtype=np.int64), _trusted=True),
-                psi=Permutation(psi_arr, _trusted=True),
-            )
-            connected = models.ribbon_component_count(m) == 1
-            key = (faces, vertices, connected, genus)
-            counter[key] = counter.get(key, 0) + 1
-            conn += connected
-            genus_sum += genus
-    return RibbonOracle(
-        p=p, total=total,
-        p_connected=Fraction(conn, total),
-        mean_genus=Fraction(genus_sum, total),
-        parity_ok=parity_ok,
-        joint={key: Fraction(cnt, total) for key, cnt in counter.items()},
-    )

@@ -202,26 +202,33 @@ def sample_ribbon_map(p: int, rng: np.random.Generator) -> RibbonMap:
     return RibbonMap(p=p, delta=delta, psi=psi)
 
 
-def ribbon_cycles(m: RibbonMap) -> tuple[int, int, int]:
-    """(faces, vertices, genus) of a map: the cycle counts O(psi) and
-    O(delta o psi^{-1}) from one kernel call, and the global Euler genus
-    g = 1 + (p - O(psi) - O(delta o psi^{-1})) / 2.
+def ribbon_stack_counts(
+    p: int, delta: np.ndarray, psi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """(faces, vertices, genus, parity ok) of the maps in (m, 2p) stacks of
+    delta and psi images: O(psi) and O(delta o psi^{-1}) from one kernel call,
+    g = 1 + (p - O(psi) - O(delta o psi^{-1})) / 2 (through chi = F - E + V,
+    so negative on some disconnected maps), and whether every numerator is
+    even, as it is when each delta is a pairing."""
+    m, n = psi.shape
+    stack = np.empty((2 * m, n), dtype=np.int64)
+    stack[:m] = psi
+    stack.reshape(-1)[psi + np.arange(m * n, 2 * m * n, n)[:, None]] = delta  # delta o psi^{-1}
+    faces, vertices = cg.cycle_counts(stack).reshape(2, m)
+    num = p - faces - vertices
+    return faces, vertices, 1 + num // 2, not (num % 2).any()
 
-    The genus is defined through chi = F - E + V even for disconnected maps
-    (then g can be negative); always an integer because O(psi) +
-    O(delta psi^{-1}) has the parity of p.
-    """
+
+def ribbon_cycles(m: RibbonMap) -> tuple[int, int, int]:
+    """(faces, vertices, genus) of one map (see `ribbon_stack_counts`)."""
     if m.is_empty:
         raise ValueError("empty ribbon map has no genus")
-    psi = m.psi.images
-    stack = np.empty((2, psi.size), dtype=np.int64)
-    stack[0] = psi
-    stack[1, psi] = m.delta.images  # delta o psi^{-1}
-    faces, vertices = cg.cycle_counts(stack).tolist()
-    num = m.p - faces - vertices
-    if num % 2:
+    faces, vertices, genus, parity_ok = ribbon_stack_counts(
+        m.p, m.delta.images[None], m.psi.images[None]
+    )
+    if not parity_ok:
         raise AssertionError("parity violation: delta is not a pairing?")
-    return faces, vertices, 1 + num // 2
+    return int(faces[0]), int(vertices[0]), int(genus[0])
 
 
 def ribbon_genus(m: RibbonMap) -> int:

@@ -15,13 +15,9 @@ from chromaplex import colored_graph as cg
 from chromaplex import config_digraph as cd
 from chromaplex import dual_complex as dc
 from chromaplex import models
-from chromaplex.harness import (
-    ExperimentConfig,
-    exhaustive_oracle,
-    run,
-    substream,
-)
+from chromaplex.harness import ExperimentConfig, run, substream
 from chromaplex.models import base_to_text, quartic_base
+from chromaplex.oracles import exhaustive_oracle
 from chromaplex.perm import (
     Permutation,
     cycle_stats,

@@ -1,4 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
+import pytest
+
 from chromaplex.cli import main
 from chromaplex.models import base_to_text, quartic_base
 
@@ -109,6 +111,18 @@ class TestOracle:
                               "--D", "2", "--p", "8")
         assert code == 2
         assert "exceeds" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("uniform", "--D", "2", "--p", "0"), "error: need p >= 1"),
+        (("uniform", "--D", "0", "--p", "2"), "error: need at least two colors (D >= 1)"),
+        (("ribbon", "--p", "0"), "error: ribbon map needs p >= 1"),
+        (("ribbon", "--p", "-1"), "error: ribbon map needs p >= 1"),
+    ], ids=["uniform-p0", "uniform-D0", "ribbon-p0", "ribbon-p-1"])
+    def test_bad_size_exits_2(self, capsys, argv, message):
+        code, out, err = invoke(capsys, "oracle", "--model", *argv)
+        assert code == 2
+        assert err.strip() == message
+        assert out == ""
 
 
 class TestExperiment:

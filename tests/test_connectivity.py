@@ -1,12 +1,15 @@
 """The csgraph connectivity kernel against a reference union-find, the
-numpy dual complex against a dict/set reference built on it, and the batched
-cycle counts behind faces, jackets and ribbon genus against pointer chasing."""
+numpy dual complex against a dict/set reference built on it, the per-block
+component counts against scipy block by block, and the batched cycle counts
+behind faces, jackets and ribbon genus against pointer chasing."""
 import itertools
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from chromaplex import colored_graph as cg
 from chromaplex import config_digraph as cd
@@ -138,6 +141,37 @@ def permutation_stacks(draw):
         else:
             rows.append(draw(st.permutations(range(n))))
     return np.array(rows, dtype=np.int64).reshape(k, n)
+
+
+@st.composite
+def block_stacks(draw):
+    """(k, n, w) arc-head stacks; each block random, all self-loops, or each
+    vertex's w arcs one repeated head."""
+    k, n, w = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    blocks = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("random", "self-loops", "repeats")))
+        if kind == "self-loops":
+            blocks.append(np.repeat(np.arange(n), w).reshape(n, w))
+            continue
+        size = n if kind == "repeats" else n * w
+        heads = np.array(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
+        blocks.append(np.repeat(heads, w).reshape(n, w) if kind == "repeats" else heads.reshape(n, w))
+    return np.array(blocks, dtype=np.int64)
+
+
+@given(block_stacks())
+@example(np.zeros((1, 1, 1), dtype=np.int64))
+@example(np.array([[[0, 0, 0], [0, 0, 0]], [[1, 1, 0], [1, 1, 1]]]))
+def test_block_components_match_scipy_per_block(heads):
+    _, n, w = heads.shape
+    tails = np.repeat(np.arange(n), w)
+    expected = [
+        connected_components(csr_array((np.ones(n * w), (tails, block.reshape(-1))), shape=(n, n)),
+                             directed=False)[0]
+        for block in heads
+    ]
+    assert cg.block_components(heads).tolist() == expected
 
 
 @given(permutation_stacks())

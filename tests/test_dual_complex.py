@@ -85,10 +85,11 @@ class TestConstruction:
 
     def test_simplex_counts_match_census(self):
         G = sample_uniform_model(3, 5, rng_for(4))
-        cx = dc.build_dual_complex(G, with_simplex_counts=True)
+        cx = dc.build_dual_complex(G)
         census = cg.bubble_census(G)
-        assert cx.simplex_counts == {d: census[3 - d] for d in range(4)}
-        assert cx.simplex_counts[0] == cx.n_points
+        # points are the 3-bubbles, edges with multiplicity the 2-bubbles
+        assert census[3] == cx.n_points
+        assert census[2] == sum(cx.edge_multiplicity.values())
 
     def test_disconnected_graph_splits_points(self):
         # two disjoint melons: the point set splits into two unreachable halves

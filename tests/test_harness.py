@@ -9,8 +9,6 @@ from chromaplex import harness
 from chromaplex.harness import (
     ExperimentConfig,
     dispersion_test,
-    exhaustive_oracle,
-    exhaustive_ribbon_oracle,
     format_config,
     ks_normality,
     parse_config,
@@ -21,6 +19,7 @@ from chromaplex.harness import (
     z_test,
 )
 from chromaplex.models import base_to_text, quartic_base
+from chromaplex.oracles import exhaustive_oracle, exhaustive_ribbon_oracle
 
 
 def _no_trials(*args):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chromaplex import harness, models
+from chromaplex import models, oracles
 from chromaplex import predictions as pr
 
 EULER_GAMMA = 0.5772156649015329
@@ -153,7 +153,7 @@ class TestPredictValues:
         comps = pr.predict("uniform", "components", D=1, p=3)
         assert conn.value == Fraction(1, 3) and conn.kind == pr.EXACT
         assert comps.value == Fraction(11, 6)
-        oracle = harness.exhaustive_oracle(1, 3)
+        oracle = oracles.exhaustive_oracle(1, 3)
         assert oracle.p_connected == Fraction(1, 3)
         assert oracle.mean_components == Fraction(11, 6)
 
@@ -179,12 +179,12 @@ class TestPredictValues:
         # the unconditional mean includes disconnected maps and is negative
         pred = pr.predict("ribbon", "genus", p=2)
         assert pred.value == Fraction(-1, 12)
-        oracle = harness.exhaustive_ribbon_oracle(2)
+        oracle = oracles.exhaustive_ribbon_oracle(2)
         assert oracle.mean_genus == pred.value
 
     def test_uniform_oracle_matches_exact_predictions(self):
         # exhaustive enumeration reproduces the exact-rational targets
-        oracle = harness.exhaustive_oracle(2, 3)
+        oracle = oracles.exhaustive_oracle(2, 3)
         assert oracle.mean_b2 == pr.predict("uniform", "b2", D=2, p=3).value
         assert oracle.mean_degree == pr.predict(
             "uniform", "gurau_degree", D=2, p=3
@@ -194,7 +194,7 @@ class TestPredictValues:
         ).value
 
     def test_ribbon_connectivity_leading_term(self):
-        oracle = harness.exhaustive_ribbon_oracle(2)
+        oracle = oracles.exhaustive_ribbon_oracle(2)
         pred = pr.predict("ribbon", "connected", p=2)
         # the exact value differs from the leading term by O(1/p^2)
         assert abs(float(oracle.p_connected) - float(pred.value)) <= 1.0 / 2**2
