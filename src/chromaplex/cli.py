@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,7 +25,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="emit one serialized graph or map")
     p_sample.add_argument("--model", required=True,
-                          choices=("uniform", "quartic", "uncolored", "ribbon"))
+                          choices=tuple(SAMPLERS))
     p_sample.add_argument("--D", type=int)
     p_sample.add_argument("--p", type=int, required=True)
     p_sample.add_argument("--seed", type=int, default=0)
@@ -39,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="print the prediction table")
     p_exact.add_argument("--model", required=True,
-                         choices=("uniform", "quartic", "uncolored", "ribbon"))
+                         choices=tuple(SAMPLERS))
     p_exact.add_argument("--D", type=int)
     p_exact.add_argument("--p", type=int, required=True)
     p_exact.add_argument("--base")
@@ -54,15 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rational(value: Fraction) -> str:
-    return predictions.format_value(value)
-
-
 def _cmd_sample(args) -> int:
     if args.model in ("uniform", "quartic") and args.D is None:
-        raise SystemExit2(f"--D is required for the {args.model} model")
+        raise ValueError(f"--D is required for the {args.model} model")
     if args.model == "uncolored" and not args.base:
-        raise SystemExit2("--base is required for the uncolored model")
+        raise ValueError("--base is required for the uncolored model")
     base = models.load_base_graph(args.base) if args.model == "uncolored" else None
     sample = SAMPLERS[args.model](args, base, np.random.default_rng(args.seed))
     if args.model == "ribbon":
@@ -89,10 +84,10 @@ def _cmd_experiment(args) -> int:
 def _cmd_exact(args) -> int:
     base = models.load_base_graph(args.base) if args.base else None
     if args.model == "uncolored" and base is None:
-        raise SystemExit2("--base is required for the uncolored model")
+        raise ValueError("--base is required for the uncolored model")
     rows = predictions.prediction_table(args.model, D=args.D, p=args.p, base=base)
     if not rows:
-        raise SystemExit2("no predictions available at these parameters")
+        raise ValueError("no predictions available at these parameters")
     sys.stdout.write(predictions.predictions_csv(rows))
     return 0
 
@@ -100,19 +95,19 @@ def _cmd_exact(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.model == "uniform":
         if args.D is None:
-            raise SystemExit2("--D is required for the uniform oracle")
+            raise ValueError("--D is required for the uniform oracle")
         oracle = oracles.exhaustive_oracle(args.D, args.p)
         print(f"uniform D={oracle.D} p={oracle.p}: {oracle.total} permutation tuples")
-        print(f"P(connected) = {_rational(oracle.p_connected)}")
-        print(f"E[k] = {_rational(oracle.mean_components)}")
-        print(f"E[b2] = {_rational(oracle.mean_b2)}")
-        print(f"E[degree] = {_rational(oracle.mean_degree)}")
-        print(f"E[jacket_faces] = {_rational(oracle.mean_jacket_faces)}")
+        print(f"P(connected) = {predictions.format_value(oracle.p_connected)}")
+        print(f"E[k] = {predictions.format_value(oracle.mean_components)}")
+        print(f"E[b2] = {predictions.format_value(oracle.mean_b2)}")
+        print(f"E[degree] = {predictions.format_value(oracle.mean_degree)}")
+        print(f"E[jacket_faces] = {predictions.format_value(oracle.mean_jacket_faces)}")
     else:
         oracle = oracles.exhaustive_ribbon_oracle(args.p)
         print(f"ribbon p={oracle.p}: {oracle.total} (pairing, faces) pairs")
-        print(f"P(connected) = {_rational(oracle.p_connected)}")
-        print(f"E[genus] = {_rational(oracle.mean_genus)}")
+        print(f"P(connected) = {predictions.format_value(oracle.p_connected)}")
+        print(f"E[genus] = {predictions.format_value(oracle.mean_genus)}")
         print(f"parity invariant: {'holds' if oracle.parity_ok else 'VIOLATED'}")
     return 0
 
@@ -144,19 +139,15 @@ def _cmd_inspect(args) -> int:
     print(f"b = {[census[i] for i in range(G.D + 2)]}")
     if G.D >= 2:
         degree_faces = cg.gurau_degree_via_faces(G)
-        print(f"degree (face formula) = {_rational(degree_faces)}")
+        print(f"degree (face formula) = {predictions.format_value(degree_faces)}")
         if k == 1:
             degree_jackets = cg.gurau_degree_via_jackets(G)
-            print(f"degree (jacket genera) = {_rational(degree_jackets)}")
+            print(f"degree (jacket genera) = {predictions.format_value(degree_jackets)}")
     cx = dc.build_dual_complex(G)
     census_pts = dc.point_color_census(cx)
     colors = " ".join(f"{c}:{census_pts[c]}" for c in sorted(census_pts))
     print(f"dual complex: {cx.n_points} points, {cx.n_edges} edges; points per color {colors}")
     return 0
-
-
-class SystemExit2(Exception):
-    """Usage error surfaced with exit code 2."""
 
 
 def main(argv=None) -> int:
@@ -171,9 +162,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

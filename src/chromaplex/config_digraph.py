@@ -45,10 +45,6 @@ class CycleCensus:
     component_count: int
     giant_degree_sum: int         # sum of in+out degrees over the largest component
 
-    @property
-    def cycle_total(self) -> int:
-        return sum(self.counts.values())
-
 
 @dataclass(frozen=True)
 class ModelConstants:

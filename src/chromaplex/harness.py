@@ -6,10 +6,12 @@ index), so reports are bit-identical across runs and across worker counts.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 import os
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -34,13 +36,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 # statistical tests
 
 
-def z_test(mean: float, se: float, target: float) -> float:
-    """Two-sided z-score of a sample mean against a target."""
-    if se <= 0:
-        raise ValueError("degenerate sample: zero standard error")
-    return (mean - target) / se
-
-
 @dataclass(frozen=True)
 class KSResult:
     statistic: float
@@ -50,9 +45,7 @@ class KSResult:
 
 
 def ks_normality(
-    samples: Sequence[float],
-    rng: Optional[np.random.Generator] = None,
-    lattice_jitter: bool = True,
+    samples: Sequence[float], rng: Optional[np.random.Generator] = None
 ) -> KSResult:
     """One-sample Kolmogorov-Smirnov against the standard normal after
     studentizing with the sample mean and variance.
@@ -67,17 +60,16 @@ def ks_normality(
     if np.all(x == x[0]):
         raise ValueError("degenerate sample: zero variance")
     jitter = 0.0
-    if lattice_jitter:
-        rounded = np.round(x)
-        if np.allclose(x, rounded, atol=1e-9, rtol=0):
-            levels = np.unique(rounded.astype(np.int64))
-            if levels.size > 1:
-                span = int(np.gcd.reduce(np.diff(levels)))
-                if span > 0:
-                    if rng is None:
-                        rng = np.random.default_rng(0)
-                    jitter = span / 2.0
-                    x = x + rng.uniform(-jitter, jitter, size=x.size)
+    rounded = np.round(x)
+    if np.allclose(x, rounded, atol=1e-9, rtol=0):
+        levels = np.unique(rounded.astype(np.int64))
+        if levels.size > 1:
+            span = int(np.gcd.reduce(np.diff(levels)))
+            if span > 0:
+                if rng is None:
+                    rng = np.random.default_rng(0)
+                jitter = span / 2.0
+                x = x + rng.uniform(-jitter, jitter, size=x.size)
     z = (x - x.mean()) / x.std(ddof=1)
     stat, p_value = scipy.stats.kstest(z, "norm")
     return KSResult(statistic=float(stat), p_value=float(p_value), jitter=jitter, n=x.size)
@@ -118,6 +110,9 @@ def dispersion_test(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment. Each field is a key of the config grammar, under its
+    own name except `base` and `samples` (see _ALIASES)."""
+
     model: str
     p: int
     trials: int
@@ -139,27 +134,55 @@ class ExperimentConfig:
     threads: Optional[int] = None
 
 
+def _parse_list(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
 def _parse_band(text: str) -> tuple[float, float]:
     lo, _, hi = text.partition(":")
     return (float(lo), float(hi))
 
 
-_CONFIG_KEYS = {
-    "model": str, "p": int, "trials": int, "seed": int, "D": int,
-    "base": str, "observables": "list", "ks": "list", "dispersion": "list",
-    "distance_pairs": int, "z_threshold": float, "proportion_sigma": float,
-    "ks_alpha": float, "slack_factor": float, "var_band": _parse_band,
-    "dispersion_band": _parse_band, "output": str,
-    "samples": "bool", "threads": int,
-}
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
 
-_KEY_TO_FIELD = {"base": "base_path", "samples": "samples_sidecar"}
+
+# field type (X for Optional[X]) -> (parse one value, format one value)
+_CODECS = {
+    str: (str, str),
+    int: (int, str),
+    float: (float, str),
+    bool: (_parse_bool, lambda flag: "true" if flag else "false"),
+    tuple[str, ...]: (_parse_list, ",".join),
+    tuple[float, float]: (_parse_band, lambda band: f"{band[0]}:{band[1]}"),
+}
+_ALIASES = {"base_path": "base", "samples_sidecar": "samples"}  # field -> key
+
+
+def _set_type(hint):
+    """X for Optional[X], else the hint itself."""
+    if typing.get_origin(hint) is typing.Union:
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    return hint
+
+
+_HINTS = typing.get_type_hints(ExperimentConfig)
+# config key -> (field, codec), in field order
+_KEYS = {
+    _ALIASES.get(f.name, f.name): (f, _CODECS[_set_type(_HINTS[f.name])])
+    for f in dataclasses.fields(ExperimentConfig)
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Flat key = value grammar; '#' starts a comment, lists are
     comma-separated."""
-    raw: dict[str, object] = {}
+    values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -168,57 +191,27 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        conv = _CONFIG_KEYS[key]
-        if conv == "list":
-            raw[key] = tuple(tok.strip() for tok in value.split(",") if tok.strip())
-        elif conv == "bool":
-            raw[key] = value.lower() in ("1", "true", "yes", "on")
-        else:
-            raw[key] = conv(value)
-    for short, long in _KEY_TO_FIELD.items():
-        if short in raw:
-            raw[long] = raw.pop(short)
-    for required in ("model", "p", "trials", "seed"):
-        if required not in raw:
-            raise ValueError(f"missing required config key {required!r}")
-    return ExperimentConfig(**raw)  # type: ignore[arg-type]
+        field, (parse, _) = _KEYS[key]
+        try:
+            values[field.name] = parse(value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad value for key {key!r}: {value!r}") from None
+    for key, (field, _) in _KEYS.items():
+        if field.default is dataclasses.MISSING and field.name not in values:
+            raise ValueError(f"missing required config key {key!r}")
+    return ExperimentConfig(**values)  # type: ignore[arg-type]
 
 
 def format_config(config: ExperimentConfig) -> str:
-    lines = [
-        f"model = {config.model}",
-        f"p = {config.p}",
-        f"trials = {config.trials}",
-        f"seed = {config.seed}",
-    ]
-    if config.D is not None:
-        lines.append(f"D = {config.D}")
-    if config.base_path is not None:
-        lines.append(f"base = {config.base_path}")
-    if config.observables:
-        lines.append("observables = " + ",".join(config.observables))
-    if config.ks:
-        lines.append("ks = " + ",".join(config.ks))
-    if config.dispersion:
-        lines.append("dispersion = " + ",".join(config.dispersion))
-    if config.distance_pairs:
-        lines.append(f"distance_pairs = {config.distance_pairs}")
-    lines += [
-        f"z_threshold = {config.z_threshold}",
-        f"proportion_sigma = {config.proportion_sigma}",
-        f"ks_alpha = {config.ks_alpha}",
-        f"slack_factor = {config.slack_factor}",
-        f"var_band = {config.var_band[0]}:{config.var_band[1]}",
-        f"dispersion_band = {config.dispersion_band[0]}:{config.dispersion_band[1]}",
-    ]
-    if config.output:
-        lines.append(f"output = {config.output}")
-    if config.samples_sidecar:
-        lines.append("samples = true")
-    if config.threads is not None:
-        lines.append(f"threads = {config.threads}")
+    """The text parse_config reads back as `config`. A key whose default is
+    empty (None, 0, (), False) is left out while it holds that default."""
+    lines = []
+    for key, (field, (_, fmt)) in _KEYS.items():
+        value = getattr(config, field.name)
+        if field.default is dataclasses.MISSING or field.default or value != field.default:
+            lines.append(f"{key} = {fmt(value)}")
     return "\n".join(lines) + "\n"
 
 

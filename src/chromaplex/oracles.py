@@ -18,6 +18,9 @@ from . import colored_graph as cg
 from . import models
 
 STATE_LIMIT = 10**7  # largest state space an oracle enumerates
+# most permutation-product entries (tuples x color pairs x p) the uniform
+# oracle builds; (D, p) = (2, 5) builds 2.6 * 10^7 in about 2 s on one core
+WORK_LIMIT = 3 * 10**7
 CHUNK_VERTICES = 10**6  # about this many vertices per kernel call
 
 
@@ -73,9 +76,17 @@ def exhaustive_oracle(D: int, p: int) -> UniformOracle:
         raise ValueError("need at least two colors (D >= 1)")
     if p < 1:
         raise ValueError("need p >= 1")
+    # far past the bound, name the size rather than compute a power of millions of digits
+    if (D + 1) * math.lgamma(p + 1) > 2 * math.log(STATE_LIMIT):
+        raise ValueError(f"state space ({p}!)^{D + 1} exceeds the bound {STATE_LIMIT}")
     total = math.factorial(p) ** (D + 1)
     if total > STATE_LIMIT:
         raise ValueError(f"state space {total} exceeds the bound {STATE_LIMIT}")
+    work = total * math.comb(D + 1, 2) * p
+    if work > WORK_LIMIT:
+        raise ValueError(
+            f"work {work} (tuples x color pairs x p) exceeds the bound {WORK_LIMIT}"
+        )
     perms = _all_permutations(p)
     pairs = list(itertools.combinations(range(D + 1), 2))
     tau = cg.canonical_jacket(D).tau
@@ -109,6 +120,8 @@ def exhaustive_ribbon_oracle(p: int) -> RibbonOracle:
     if p < 1:
         raise ValueError("ribbon map needs p >= 1")
     n = 2 * p
+    if math.lgamma(n + 1) > 2 * math.log(STATE_LIMIT):  # (2p)! alone is far past the bound
+        raise ValueError(f"state space (2p-1)!! (2p)! at p = {p} exceeds the bound {STATE_LIMIT}")
     total = math.prod(range(1, n, 2)) * math.factorial(n)
     if total > STATE_LIMIT:
         raise ValueError(f"state space {total} exceeds the bound {STATE_LIMIT}")

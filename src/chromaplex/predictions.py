@@ -22,14 +22,7 @@ from .config_digraph import model_constants, quartic_constants
 from .models import BaseGraph
 from .observables import OBSERVABLES, SAMPLERS
 
-try:
-    from gmpy2 import mpq
-
-    _HAVE_GMPY2 = True
-except ImportError:  # gmpy2 is an optional extra: without it harmonic()
-    _HAVE_GMPY2 = False  # runs _harmonic_exact and harmonic_var sums Fractions
-
-_BLOCK = 256
+_BLOCK = 256  # terms per leaf of harmonic_var's Fraction tree
 _CHUNK = 48  # primes per leaf of the big-prime product tree
 # A merge goes through the FFT when its smaller product operand has at least
 # _FFT_MIN_BITS bits and both together at least _FFT_SUM_BITS; below that
@@ -59,14 +52,6 @@ except Exception:  # pragma: no cover - slots changed upstream
     _fraction_from_coprime = Fraction  # type: ignore[assignment]
 
 
-def _harmonic_block(lo: int, hi: int) -> tuple[int, int]:
-    num, den = 0, 1
-    for j in range(lo, hi):
-        num = num * j + den
-        den *= j
-    return num, den
-
-
 def _variance_block(lo: int, hi: int) -> tuple[int, int]:
     num, den = 0, 1
     for j in range(lo, hi):
@@ -76,20 +61,12 @@ def _variance_block(lo: int, hi: int) -> tuple[int, int]:
     return num, den
 
 
-def _range_sum(lo: int, hi: int, block):
-    """Balanced tree sum of block partial sums over lo <= j < hi; gmpy2
-    rationals canonicalize the merges when available."""
+def _range_sum(lo: int, hi: int, block) -> Fraction:
+    """Balanced tree sum of the Fraction block partial sums over lo <= j < hi."""
     if hi - lo <= _BLOCK:
-        num, den = block(lo, hi)
-        return mpq(num, den) if _HAVE_GMPY2 else Fraction(num, den)
+        return Fraction(*block(lo, hi))
     mid = (lo + hi) // 2
     return _range_sum(lo, mid, block) + _range_sum(mid, hi, block)
-
-
-def _to_fraction(q) -> Fraction:
-    if isinstance(q, Fraction):
-        return q
-    return _fraction_from_coprime(int(q.numerator), int(q.denominator))
 
 
 def _primes_upto(n: int) -> np.ndarray:
@@ -274,17 +251,13 @@ def _harmonic_exact(n: int) -> tuple[int, int]:
 
 
 def harmonic(n: int) -> Fraction:
-    """Exact H_n = sum_{j<=n} 1/j.
-
-    With gmpy2, a balanced tree of mpq block sums. Without it,
-    `_harmonic_exact`: a p-adic reduction plus binary splitting over the
-    primes in plain integers. On one core of a shared 2-core Xeon VM that
-    takes 15-30 ms at n = 10^5 and 0.3-0.4 s at n = 10^6, against 0.3-0.4 s
-    and 23-25 s for the Fraction tree it replaced."""
+    """Exact H_n = sum_{j<=n} 1/j, from `_harmonic_exact`: a p-adic
+    reduction plus binary splitting over the primes in plain integers. On
+    one core of a shared 2-core Xeon VM that takes 15-30 ms at n = 10^5 and
+    0.3-0.4 s at n = 10^6, against 0.3-0.4 s and 23-25 s for a balanced
+    tree of Fraction block sums."""
     if n < 1:
         raise ValueError("harmonic numbers start at n = 1")
-    if _HAVE_GMPY2:
-        return _to_fraction(_range_sum(1, n + 1, _harmonic_block))
     return _fraction_from_coprime(*_harmonic_exact(n))
 
 
@@ -293,7 +266,7 @@ def harmonic_var(n: int) -> Fraction:
     permutation of size n."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    return _to_fraction(_range_sum(1, n + 1, _variance_block))
+    return _range_sum(1, n + 1, _variance_block)
 
 
 @dataclass(frozen=True)
@@ -330,7 +303,7 @@ def _predict(model, observable, D, p, base, h) -> Prediction:
     if model == "quartic":
         return _predict_quartic(observable, D, p, h)
     if model == "ribbon":
-        return _predict_ribbon(observable, p)
+        return _predict_ribbon(observable, p, h)
     if model == "uncolored":
         return _predict_uncolored(observable, D, p, base)
     raise ValueError(f"unknown model {model!r}")
@@ -463,7 +436,7 @@ def _predict_quartic(obs: str, D: int, p: int, h) -> Prediction:
     raise ValueError(f"unsupported quartic observable {obs!r}")
 
 
-def _predict_ribbon(obs: str, p: int) -> Prediction:
+def _predict_ribbon(obs: str, p: int, h) -> Prediction:
     _need(p is not None and p >= 1, "need p >= 1")
     if obs == "connected":
         return _mk(
@@ -474,7 +447,7 @@ def _predict_ribbon(obs: str, p: int) -> Prediction:
     if obs == "genus":
         return _mk(
             "ribbon", obs, None, p,
-            1 + Fraction(p, 2) - harmonic(2 * p),
+            1 + Fraction(p, 2) - h(2 * p),
             EXACT, 0.0, "1 + p/2 - H_2p",
         )
     raise ValueError(f"unsupported ribbon observable {obs!r}")

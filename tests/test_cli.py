@@ -112,6 +112,13 @@ class TestOracle:
         assert code == 2
         assert "exceeds" in err
 
+    def test_work_bound_error(self, capsys):
+        code, out, err = invoke(capsys, "oracle", "--model", "uniform",
+                                "--D", "10000", "--p", "1")
+        assert code == 2
+        assert "exceeds" in err
+        assert out == ""
+
     @pytest.mark.parametrize("argv, message", [
         (("uniform", "--D", "2", "--p", "0"), "error: need p >= 1"),
         (("uniform", "--D", "0", "--p", "2"), "error: need at least two colors (D >= 1)"),
@@ -156,6 +163,14 @@ class TestExperiment:
         code, _, err = invoke(capsys, "experiment", "--config", str(config))
         assert code == 2
         assert "error" in err
+
+    def test_bad_value_names_line_and_key(self, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("model = uniform\nD = 2\np = abc\ntrials = 5\nseed = 1\n")
+        code, out, err = invoke(capsys, "experiment", "--config", str(config))
+        assert code == 2
+        assert err == "error: line 3: bad value for key 'p': 'abc'\n"
+        assert out == ""
 
     def test_reproducible_output(self, capsys, tmp_path):
         config = tmp_path / "exp.cfg"

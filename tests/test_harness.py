@@ -1,9 +1,13 @@
 """Statistical tests, exhaustive oracles, and the experiment runner."""
 import math
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chromaplex import harness
 from chromaplex.harness import (
@@ -16,7 +20,6 @@ from chromaplex.harness import (
     report_summary,
     run,
     substream,
-    z_test,
 )
 from chromaplex.models import base_to_text, quartic_base
 from chromaplex.oracles import exhaustive_oracle, exhaustive_ribbon_oracle
@@ -26,6 +29,23 @@ def _no_trials(*args):
     raise AssertionError("a trial ran")
 
 
+# any config the grammar can carry: tokens free of ',', '#', '=' and
+# whitespace, finite or infinite floats
+_TOKENS = st.text("abcXYZ019_-./|:", min_size=1, max_size=8)
+_WORDS = st.lists(_TOKENS, max_size=3).map(tuple)
+_FLOATS = st.floats(allow_nan=False)
+_BANDS = st.tuples(_FLOATS, _FLOATS)
+_CONFIGS = st.builds(
+    ExperimentConfig,
+    model=_TOKENS, p=st.integers(), trials=st.integers(), seed=st.integers(),
+    D=st.none() | st.integers(), base_path=st.none() | _TOKENS,
+    observables=_WORDS, ks=_WORDS, dispersion=_WORDS, distance_pairs=st.integers(),
+    z_threshold=_FLOATS, proportion_sigma=_FLOATS, ks_alpha=_FLOATS, slack_factor=_FLOATS,
+    var_band=_BANDS, dispersion_band=_BANDS, output=st.none() | _TOKENS,
+    samples_sidecar=st.booleans(), threads=st.none() | st.integers(),
+)
+
+
 class TestSubstream:
     def test_deterministic_and_distinct(self):
         a = substream(7, 3).integers(1 << 30, size=4)
@@ -33,15 +53,6 @@ class TestSubstream:
         c = substream(7, 4).integers(1 << 30, size=4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-
-class TestZTest:
-    def test_basic(self):
-        assert z_test(1.2, 0.1, 1.0) == pytest.approx(2.0)
-
-    def test_zero_se_rejected(self):
-        with pytest.raises(ValueError):
-            z_test(1.0, 0.0, 1.0)
 
 
 class TestKSNormality:
@@ -121,6 +132,13 @@ class TestExhaustiveOracle:
         with pytest.raises(ValueError, match="exceeds"):
             exhaustive_oracle(2, 6)
 
+    @pytest.mark.parametrize("D, p", [(10**4, 1), (4, 4), (1, 10**9)])
+    def test_work_bound_enforced_before_enumeration(self, D, p):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds"):
+            exhaustive_oracle(D, p)
+        assert time.perf_counter() - t0 < 0.5
+
     def test_sampler_converges_to_oracle(self):
         from chromaplex import colored_graph as cg
         from chromaplex.models import sample_uniform_model
@@ -172,6 +190,8 @@ class TestRibbonOracle:
     def test_bound_enforced(self):
         with pytest.raises(ValueError, match="exceeds"):
             exhaustive_ribbon_oracle(5)
+        with pytest.raises(ValueError, match="exceeds"):  # a total past int-to-str limits
+            exhaustive_ribbon_oracle(10**4)
 
 
 class TestConfigIO:
@@ -181,6 +201,53 @@ class TestConfigIO:
             observables=("connected", "b2"), ks=("jacket_faces",),
             dispersion=("C1",), distance_pairs=10, output="out/run",
             samples_sidecar=True, threads=2,
+        )
+        assert parse_config(format_config(config)) == config
+
+    def test_format_golden_every_field_set(self):
+        config = ExperimentConfig(
+            model="uncolored", p=12, trials=7, seed=0, D=3, base_path="bases/q.txt",
+            observables=("k_of_S", "C1"), ks=("genus|connected", "b2"), dispersion=("C1", "C2"),
+            distance_pairs=9, z_threshold=0.0, proportion_sigma=2.5, ks_alpha=0.05,
+            slack_factor=1.25, var_band=(0.25, 4.0), dispersion_band=(0.5, 1.5),
+            output="out/golden", samples_sidecar=True, threads=3,
+        )
+        assert format_config(config) == (
+            "model = uncolored\n"
+            "p = 12\n"
+            "trials = 7\n"
+            "seed = 0\n"
+            "D = 3\n"
+            "base = bases/q.txt\n"
+            "observables = k_of_S,C1\n"
+            "ks = genus|connected,b2\n"
+            "dispersion = C1,C2\n"
+            "distance_pairs = 9\n"
+            "z_threshold = 0.0\n"
+            "proportion_sigma = 2.5\n"
+            "ks_alpha = 0.05\n"
+            "slack_factor = 1.25\n"
+            "var_band = 0.25:4.0\n"
+            "dispersion_band = 0.5:1.5\n"
+            "output = out/golden\n"
+            "samples = true\n"
+            "threads = 3\n"
+        )
+        assert parse_config(format_config(config)) == config
+
+    def test_format_golden_minimal(self):
+        config = ExperimentConfig(model="ribbon", p=30, trials=10, seed=1)
+        assert format_config(config) == (
+            "model = ribbon\n"
+            "p = 30\n"
+            "trials = 10\n"
+            "seed = 1\n"
+            "z_threshold = 4.0\n"
+            "proportion_sigma = 3.0\n"
+            "ks_alpha = 0.01\n"
+            "slack_factor = 5.0\n"
+            "var_band = 0.5:2.0\n"
+            "dispersion_band = 0.8:1.2\n"
         )
         assert parse_config(format_config(config)) == config
 
@@ -199,6 +266,34 @@ class TestConfigIO:
     def test_missing_required_rejected(self):
         with pytest.raises(ValueError, match="missing required"):
             parse_config("model=ribbon\np=3\ntrials=1\n")
+
+    @pytest.mark.parametrize("line, key, value", [
+        ("p = abc", "p", "abc"),
+        ("z_threshold = four", "z_threshold", "four"),
+        ("var_band = 0.5", "var_band", "0.5"),
+        ("samples = maybe", "samples", "maybe"),
+        ("threads = 1.5", "threads", "1.5"),
+    ])
+    def test_bad_value_names_line_and_key(self, line, key, value):
+        with pytest.raises(ValueError) as info:
+            parse_config(f"model = ribbon\n# comment\n{line}\ntrials = 1\nseed = 0\np = 3\n")
+        assert str(info.value) == f"line 3: bad value for key {key!r}: {value!r}"
+
+    def test_required_fields_have_no_default(self):
+        with pytest.raises(TypeError):
+            ExperimentConfig()
+
+    @given(config=_CONFIGS)
+    def test_round_trip_any_config(self, config):
+        assert parse_config(format_config(config)) == config
+
+    def test_readme_grammar_block_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file grammar", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        parse_config(block)
+        keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if line.strip()]
+        assert sorted(keys) == sorted(harness._KEYS)
 
 
 class TestRun:

@@ -13,6 +13,16 @@ from chromaplex import predictions as pr
 EULER_GAMMA = 0.5772156649015329
 
 
+def _harmonic_block(lo: int, hi: int) -> tuple[int, int]:
+    """(num, den) of sum_{lo <= j < hi} 1/j, a leaf of the Fraction tree
+    that the integer path of `harmonic` is checked against."""
+    num, den = 0, 1
+    for j in range(lo, hi):
+        num = num * j + den
+        den *= j
+    return num, den
+
+
 class TestHarmonic:
     def test_small_values(self):
         assert pr.harmonic(1) == 1
@@ -36,19 +46,13 @@ class TestHarmonic:
         assert h + Fraction(1, 101) == pr.harmonic(101)
 
     def test_matches_naive_sum(self):
-        for n in (1, 7, 350, 1000):
+        for n in (1, 7, 350, 700, 1000):
             assert pr.harmonic(n) == sum(Fraction(1, j) for j in range(1, n + 1))
         assert pr.harmonic_var(350) == sum(
             Fraction(j - 1, j * j) for j in range(1, 351)
         )
 
-    def test_pure_fraction_fallback(self, monkeypatch):
-        monkeypatch.setattr(pr, "_HAVE_GMPY2", False)
-        assert pr.harmonic(700) == sum(Fraction(1, j) for j in range(1, 701))
-        assert pr.harmonic_var(2) == Fraction(1, 4)
-
-    def test_integer_path_exact_and_reduced(self, monkeypatch):
-        monkeypatch.setattr(pr, "_HAVE_GMPY2", False)
+    def test_integer_path_exact_and_reduced(self):
         running = Fraction(0)
         for n in range(1, 2001):
             running += Fraction(1, n)
@@ -62,19 +66,11 @@ class TestHarmonic:
             if n + 1 in (5, 7, 11, 13, 1009, 1999):  # Wolstenholme: p^2 | H_{p-1}
                 assert h.numerator % (n + 1) ** 2 == 0
 
-    def test_integer_path_matches_fraction_tree(self, monkeypatch):
-        monkeypatch.setattr(pr, "_HAVE_GMPY2", False)
+    def test_integer_path_matches_fraction_tree(self):
         n = 10**5
-        tree = pr._range_sum(1, n + 1, pr._harmonic_block)
+        tree = pr._range_sum(1, n + 1, _harmonic_block)
         assert isinstance(tree, Fraction)
         assert pr.harmonic(n) == tree
-
-    def test_integer_path_matches_gmpy2(self, monkeypatch):
-        pytest.importorskip("gmpy2")
-        n = 10**5
-        with_gmpy2 = pr.harmonic(n)
-        monkeypatch.setattr(pr, "_HAVE_GMPY2", False)
-        assert pr.harmonic(n) == with_gmpy2
 
     def test_fft_merge_equals_integer_products(self):
         # all-0xFF digits give the largest convolution coefficients
@@ -278,6 +274,18 @@ class TestTable:
         base = models.quartic_base(3) if model == "uncolored" else None
         rows = pr.prediction_table(model, D=D, p=50, base=base)
         assert [r.observable for r in rows] == observables
+
+    @pytest.mark.parametrize("model, D", [("uniform", 3), ("quartic", 2), ("ribbon", None)])
+    def test_table_computes_each_harmonic_once(self, monkeypatch, model, D):
+        calls = []
+        harmonic = pr.harmonic
+        monkeypatch.setattr(pr, "harmonic", lambda n: calls.append(n) or harmonic(n))
+        pr.prediction_table(model, D=D, p=50)
+        assert calls and len(calls) == len(set(calls))
+
+    def test_ribbon_genus_takes_harmonic_from_the_memo(self):
+        row = pr._predict("ribbon", "genus", None, 4, None, lambda n: Fraction(1, n))
+        assert row.value == 1 + 2 - Fraction(1, 8)
 
     def test_format_value(self):
         assert pr.format_value(Fraction(3, 4)) == "3/4"
