@@ -46,11 +46,20 @@ class TestHarmonic:
         assert h + Fraction(1, 101) == pr.harmonic(101)
 
     def test_matches_naive_sum(self):
-        for n in (1, 7, 350, 700, 1000):
+        for n in (1, 7, 350, 1000):
             assert pr.harmonic(n) == sum(Fraction(1, j) for j in range(1, n + 1))
         assert pr.harmonic_var(350) == sum(
             Fraction(j - 1, j * j) for j in range(1, 351)
         )
+
+    def test_pure_fraction_fallback(self):
+        # both sums are exact, reduced stdlib Fractions
+        h = pr.harmonic(700)
+        assert type(h) is Fraction
+        assert h == sum(Fraction(1, j) for j in range(1, 701))
+        v = pr.harmonic_var(2)
+        assert type(v) is Fraction
+        assert v == Fraction(1, 4)
 
     def test_integer_path_exact_and_reduced(self):
         running = Fraction(0)
