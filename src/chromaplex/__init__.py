@@ -3,11 +3,7 @@ combinatorial-topological observables, and a Monte Carlo verification
 harness with exact small-instance oracles."""
 
 from .perm import (
-    CycleStats,
     Permutation,
-    compose,
-    cycle_stats,
-    invert,
     sample_fixed_point_free_involution,
     sample_uniform_permutation,
 )

@@ -54,16 +54,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sample(args) -> int:
-    if args.model in ("uniform", "quartic") and args.D is None:
-        raise ValueError(f"--D is required for the {args.model} model")
+    models.check_sizes(args.model, args.D, args.p)
     if args.model == "uncolored" and not args.base:
         raise ValueError("--base is required for the uncolored model")
     base = models.load_base_graph(args.base) if args.model == "uncolored" else None
     sample = SAMPLERS[args.model](args, base, np.random.default_rng(args.seed))
-    if args.model == "ribbon":
-        text = f"ribbon {sample.p}\n{sample.delta.serialize()}\n{sample.psi.serialize()}\n"
-    else:
-        text = cg.to_text(sample)
+    text = models.ribbon_to_text(sample) if args.model == "ribbon" else cg.to_text(sample)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -117,16 +113,10 @@ def _cmd_inspect(args) -> int:
         text = fh.read()
     first = text.split(None, 1)[0] if text.split() else ""
     if first == "ribbon":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        p = int(lines[0].split()[1])
-        from .perm import Permutation
-
-        delta = Permutation.deserialize(lines[1])
-        psi = Permutation.deserialize(lines[2])
-        m = models.RibbonMap(p=p, delta=delta, psi=psi)
+        m = models.ribbon_from_text(text)
         k = models.ribbon_component_count(m)
         faces, vertices, genus = models.ribbon_cycles(m)
-        print(f"ribbon map: p={p} half-edges={2 * p}")
+        print(f"ribbon map: p={m.p} half-edges={2 * m.p}")
         print(f"connected: {'yes' if k == 1 else f'no (components = {k})'}")
         print(f"faces = {faces}; vertices = {vertices}")
         print(f"genus = {genus}")

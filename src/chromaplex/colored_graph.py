@@ -87,10 +87,7 @@ def _check_colors(G: ColoredGraph, colors: Iterable[int]) -> tuple[int, ...]:
 
 
 def _components(
-    n: int,
-    heads: np.ndarray,
-    tails: Optional[np.ndarray] = None,
-    strong: bool = False,
+    n: int, heads: np.ndarray, tails: Optional[np.ndarray] = None
 ) -> tuple[int, np.ndarray]:
     """(component count, per-vertex labels) of the graph on vertices 0..n-1,
     the one connectivity kernel of the package.
@@ -98,10 +95,9 @@ def _components(
     Without `tails`, `heads` is an (r, w) array whose row k lists the heads
     of the w arcs leaving vertex k, and vertices r..n-1 have no arcs of
     their own: the CSR row pointer is then an arange and nothing is sorted.
-    With `tails`, arc k runs tails[k] -> heads[k].  Weak components are
-    labelled by first appearance in vertex order, which the canonical
-    bubble order and the dual-complex point ids rely on; strong components
-    (`strong=True`) are only counted by callers.
+    With `tails`, arc k runs tails[k] -> heads[k].  Arcs count as undirected
+    edges.  Components are labelled by first appearance in vertex order,
+    which the canonical bubble order and the dual-complex point ids rely on.
     """
     if tails is None:
         r, w = heads.shape
@@ -113,13 +109,7 @@ def _components(
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
     graph = csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
-    if strong:
-        # scipy's strong-component search never returns on parallel arcs
-        # (seen with scipy 1.17), so merge them first.
-        graph.sum_duplicates()
-    return connected_components(
-        graph, directed=strong, connection="strong" if strong else "weak"
-    )
+    return connected_components(graph, directed=False)
 
 
 def _subgraph_components(G: ColoredGraph, colors: Sequence[int]) -> tuple[int, np.ndarray]:
@@ -265,11 +255,6 @@ def _genus_from_faces(G: ColoredGraph, F: int) -> Fraction:
     """Euler's relation 2 - 2g = F - (D+1)p + 2p for an embedding of G with
     F faces; integral for connected graphs."""
     return Fraction(2 - F + (G.D - 1) * G.p, 2)
-
-
-def jacket_genus(G: ColoredGraph, spec: JacketSpec) -> Fraction:
-    """Genus of the jacket's embedding, from its face count."""
-    return _genus_from_faces(G, jacket_faces(G, spec))
 
 
 def gurau_degree_via_faces(G: ColoredGraph) -> Fraction:

@@ -121,9 +121,10 @@ def sample_directed_config_model(
 
 
 def analyze(d: Digraph) -> CycleCensus:
-    """Component census via the connectivity kernel; for the balanced degree
-    profiles produced here weak and strong connectivity coincide
-    (cross-checked by scc_count in the tests)."""
+    """Component census via the connectivity kernel, arcs taken as
+    undirected edges.  In a quotient digraph every vertex has equal in- and
+    out-degree, so each component is also one class of mutually reachable
+    vertices (cross-checked in the tests)."""
     n_comp, labels = cg._components(d.n, d.heads, tails=d.tails)
     in_deg = np.asarray(d.in_degrees)
     out_deg = np.asarray(d.out_degrees)
@@ -140,11 +141,6 @@ def analyze(d: Digraph) -> CycleCensus:
         component_count=n_comp,
         giant_degree_sum=int(degree_sum[giant]),
     )
-
-
-def scc_count(d: Digraph) -> int:
-    """Strongly connected components."""
-    return cg._components(d.n, d.heads, tails=d.tails, strong=True)[0]
 
 
 def model_constants(base: BaseGraph) -> ModelConstants:
@@ -186,8 +182,7 @@ def quartic_constants(D: int) -> ModelConstants:
 def _deleted_color_piece_sizes(base: BaseGraph, j: int) -> list[int]:
     """Half-orders (black count = white count) of the pieces of the base
     graph after deleting color j."""
-    heads = np.stack([pi.images for c, pi in enumerate(base.pis, start=1) if c != j], axis=1)
-    _, labels = cg._components(2 * base.t, heads + base.t)
+    labels, _ = cg.component_labels(base.colored, [c for c in range(base.D) if c != j - 1])
     return np.bincount(labels[: base.t]).tolist()  # blacks per piece, by first appearance
 
 

@@ -44,9 +44,7 @@ class KSResult:
     n: int
 
 
-def ks_normality(
-    samples: Sequence[float], rng: Optional[np.random.Generator] = None
-) -> KSResult:
+def ks_normality(samples: Sequence[float], rng: np.random.Generator) -> KSResult:
     """One-sample Kolmogorov-Smirnov against the standard normal after
     studentizing with the sample mean and variance.
 
@@ -66,8 +64,6 @@ def ks_normality(
         if levels.size > 1:
             span = int(np.gcd.reduce(np.diff(levels)))
             if span > 0:
-                if rng is None:
-                    rng = np.random.default_rng(0)
                 jitter = span / 2.0
                 x = x + rng.uniform(-jitter, jitter, size=x.size)
     z = (x - x.mean()) / x.std(ddof=1)
@@ -433,6 +429,7 @@ def _check_request(config: ExperimentConfig, want: set[str]) -> None:
         raise ValueError(f"distance_pairs must be >= 0, got {config.distance_pairs}")
     if config.model not in SAMPLERS:
         raise ValueError(f"unknown model {config.model!r}")
+    models.check_sizes(config.model, config.D, config.p)
     unknown = sorted(want - OBSERVABLES.keys())
     if unknown:
         raise ValueError(f"unknown observables {unknown}")

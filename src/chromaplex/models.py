@@ -37,6 +37,12 @@ class BaseGraph:
     t: int
     pis: tuple[Permutation, ...]
 
+    @property
+    def colored(self) -> cg.ColoredGraph:
+        """The base as a colored graph on its D colors, base color j as
+        color j-1."""
+        return cg.ColoredGraph(D=self.D - 1, p=self.t, alphas=self.pis)
+
 
 @dataclass(frozen=True)
 class RibbonMap:
@@ -67,11 +73,22 @@ class RibbonMap:
 
 EMPTY_RIBBON_MAP = RibbonMap(p=0, delta=None, psi=None)
 
+# The least D each model samples at; the other models take no D.
+_MIN_D = {"uniform": 1, "quartic": 2}
+
+
+def check_sizes(model: str, D: Optional[int], p: int) -> None:
+    """Reject a (D, p) that the model cannot be sampled at, before any draw."""
+    low = _MIN_D.get(model)
+    if low is not None and (D is None or D < low):
+        raise ValueError(f"{model} model needs D >= {low}")
+    if p < 1:
+        raise ValueError(f"{model} model needs p >= 1")
+
 
 def sample_uniform_model(D: int, p: int, rng: np.random.Generator) -> cg.ColoredGraph:
     """D+1 independent uniform permutations of {1..p}."""
-    if D < 1 or p < 1:
-        raise ValueError("uniform model needs D >= 1 and p >= 1")
+    check_sizes("uniform", D, p)
     alphas = [sample_uniform_permutation(p, rng) for _ in range(D + 1)]
     return cg.build(D, p, alphas)
 
@@ -85,10 +102,7 @@ def sample_quartic_model(
 
     Draw order: alpha_0, then the p distinguished colors.
     """
-    if D < 2:
-        raise ValueError("quartic model needs D >= 2")
-    if p < 1:
-        raise ValueError("quartic model needs p >= 1")
+    check_sizes("quartic", D, p)
     size = 2 * p
     alpha0 = sample_uniform_permutation(size, rng)
     colors = rng.integers(1, D + 1, size=p)
@@ -116,8 +130,8 @@ def quartic_base(D: int) -> BaseGraph:
 def base_components(base: BaseGraph) -> list[list[int]]:
     """Connected components of the base graph; vertices listed 1-based as
     blacks 1..t then whites t+1..2t."""
-    t = base.t
-    n_comp, labels = cg._components(2 * t, np.stack([pi.images for pi in base.pis], axis=1) + t)
+    G = base.colored
+    labels, n_comp = cg.component_labels(G, G.colors)
     comps: list[list[int]] = [[] for _ in range(n_comp)]
     for v, lab in enumerate(labels.tolist()):
         comps[lab].append(v + 1)
@@ -168,6 +182,24 @@ def load_base_graph(path: str) -> BaseGraph:
         return base_from_text(fh.read())
 
 
+def ribbon_to_text(m: RibbonMap) -> str:
+    """Header "ribbon p", then the delta and psi permutation lines."""
+    return f"ribbon {m.p}\n{m.delta.serialize()}\n{m.psi.serialize()}\n"
+
+
+def ribbon_from_text(text: str) -> RibbonMap:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty ribbon-map text")
+    head = lines[0].split()
+    if len(head) != 2 or head[0] != "ribbon" or not head[1].isdigit():
+        raise ValueError(f"bad header line {lines[0]!r}")
+    if len(lines) != 3:
+        raise ValueError(f"expected 2 permutation lines, got {len(lines) - 1}")
+    delta, psi = (Permutation.deserialize(ln) for ln in lines[1:])
+    return RibbonMap(p=int(head[1]), delta=delta, psi=psi)
+
+
 def sample_uncolored_model(
     base: BaseGraph, p: int, rng: np.random.Generator
 ) -> cg.ColoredGraph:
@@ -177,8 +209,7 @@ def sample_uncolored_model(
     Copy k owns black/white labels (k-1)t+1 .. kt.  Draw order: alpha_0,
     then the color permutations for copies 1..p.
     """
-    if p < 1:
-        raise ValueError("need p >= 1")
+    check_sizes("uncolored", None, p)
     D, t = base.D, base.t
     size = t * p
     alpha0 = sample_uniform_permutation(size, rng)
@@ -195,8 +226,7 @@ def sample_uncolored_model(
 def sample_ribbon_map(p: int, rng: np.random.Generator) -> RibbonMap:
     """Uniform map with p edges: delta uniform fixed-point-free involution,
     psi uniform permutation, independent.  Draw order: delta, then psi."""
-    if p < 1:
-        raise ValueError("ribbon map needs p >= 1")
+    check_sizes("ribbon", None, p)
     delta = sample_fixed_point_free_involution(2 * p, rng)
     psi = sample_uniform_permutation(2 * p, rng)
     return RibbonMap(p=p, delta=delta, psi=psi)
@@ -242,10 +272,6 @@ def ribbon_component_count(m: RibbonMap) -> int:
     if m.is_empty:
         raise ValueError("empty ribbon map")
     return cg._components(2 * m.p, np.stack((m.delta.images, m.psi.images), axis=1))[0]
-
-
-def ribbon_is_connected(m: RibbonMap) -> bool:
-    return ribbon_component_count(m) == 1
 
 
 def ribbon_trim(alpha: Permutation, phi: Permutation) -> RibbonMap:

@@ -1,11 +1,10 @@
-"""Permutation arithmetic, uniform sampling, and cycle statistics.
+"""Permutations, uniform sampling, and a pointer-chasing cycle count.
 
 Permutations act on {1..n} in all external interfaces; images are stored
 0-based internally as read-only numpy arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,11 +18,11 @@ class Permutation:
     def __init__(self, images0: np.ndarray | Sequence[int], *, _trusted: bool = False):
         arr = np.asarray(images0, dtype=np.int64)
         if not _trusted:
+            if arr.ndim != 1:
+                raise ValueError("images must be one-dimensional")
             n = arr.shape[0]
             if n == 0:
                 raise ValueError("permutation size must be >= 1")
-            if arr.ndim != 1:
-                raise ValueError("images must be one-dimensional")
             seen = np.zeros(n, dtype=bool)
             if arr.min() < 0 or arr.max() >= n:
                 raise ValueError("images out of range for a permutation of {1..%d}" % n)
@@ -87,27 +86,7 @@ class Permutation:
         return cls.from_one_line(int(tok) for tok in text.split())
 
 
-@dataclass(frozen=True)
-class CycleStats:
-    cycle_count: int
-    cycle_type: tuple[int, ...]  # sorted ascending, sums to n
-    fixed_points: int
-    sign: int
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """compose(a, b)(k) = a(b(k))."""
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    return Permutation(a.images[b.images], _trusted=True)
-
-
-def invert(a: Permutation) -> Permutation:
-    inv = np.empty(a.n, dtype=np.int64)
-    inv[a.images] = np.arange(a.n, dtype=np.int64)
-    return Permutation(inv, _trusted=True)
-
-
+# Kept for bench/checks.py and product_cycles; ROADMAP item 1 moves both into bench/.
 def count_cycles(images0) -> int:
     """Number of orbits of a 0-based image array, by pointer chasing."""
     img = images0.tolist() if isinstance(images0, np.ndarray) else list(images0)
@@ -123,6 +102,7 @@ def count_cycles(images0) -> int:
     return count
 
 
+# Kept for bench/tracing.py, which imports it; ROADMAP item 1 moves it into bench/.
 def product_cycles(a: Permutation, b: Permutation) -> int:
     """Cycle count of a o b^{-1} without materializing the inverse."""
     if a.n != b.n:
@@ -130,33 +110,6 @@ def product_cycles(a: Permutation, b: Permutation) -> int:
     prod = np.empty(a.n, dtype=np.int64)
     prod[b.images] = a.images  # prod[b(k)] = a(k), i.e. prod = a o b^{-1}
     return count_cycles(prod)
-
-
-def cycle_stats(a: Permutation) -> CycleStats:
-    """Orbit decomposition by pointer chasing with visitation marks."""
-    img = a.images.tolist()
-    seen = bytearray(a.n)
-    lengths: list[int] = []
-    fixed = 0
-    for i in range(a.n):
-        if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = 1
-                j = img[j]
-                length += 1
-            lengths.append(length)
-            if length == 1:
-                fixed += 1
-    lengths.sort()
-    count = len(lengths)
-    return CycleStats(
-        cycle_count=count,
-        cycle_type=tuple(lengths),
-        fixed_points=fixed,
-        sign=-1 if (a.n - count) % 2 else 1,
-    )
 
 
 def sample_uniform_permutation(n: int, rng: np.random.Generator) -> Permutation:

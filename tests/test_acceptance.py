@@ -20,10 +20,10 @@ from chromaplex.models import base_to_text, quartic_base
 from chromaplex.oracles import exhaustive_oracle
 from chromaplex.perm import (
     Permutation,
-    cycle_stats,
     product_cycles,
     sample_uniform_permutation,
 )
+from reference import cycle_stats
 
 
 def record(num: int, title: str, ok: bool, detail: str = "") -> bool:

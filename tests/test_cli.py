@@ -38,6 +38,26 @@ class TestSample:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("quartic", "--D", "1", "--p", "5"), "error: quartic model needs D >= 2"),
+        (("ribbon", "--p", "0"), "error: ribbon model needs p >= 1"),
+    ], ids=["quartic-D1", "ribbon-p0"])
+    def test_bad_size_exits_2(self, capsys, argv, message):
+        code, out, err = invoke(capsys, "sample", "--model", *argv)
+        assert code == 2
+        assert err.strip() == message
+        assert out == ""
+
+    def test_ribbon_round_trips_through_inspect(self, capsys, tmp_path):
+        path = tmp_path / "map.txt"
+        code, _, _ = invoke(capsys, "sample", "--model", "ribbon", "--p", "7",
+                            "--seed", "4", "--out", str(path))
+        assert code == 0
+        code, out, _ = invoke(capsys, "inspect", str(path))
+        assert code == 0
+        assert out == ("ribbon map: p=7 half-edges=14\nconnected: yes\n"
+                       "faces = 1; vertices = 4\ngenus = 2\n")
+
     def test_uncolored_needs_base(self, capsys, tmp_path):
         code, _, _ = invoke(capsys, "sample", "--model", "uncolored", "--p", "3")
         assert code == 2
@@ -66,6 +86,21 @@ class TestInspect:
         code, out, _ = invoke(capsys, "inspect", str(path))
         assert code == 0
         assert "genus = " in out
+
+    @pytest.mark.parametrize("text, message", [
+        ("ribbon\n", "bad header line 'ribbon'"),
+        ("ribbon x\n2 1\n1 2\n", "bad header line 'ribbon x'"),
+        ("ribbon 1\n2 1\n", "expected 2 permutation lines, got 1"),
+        ("ribbon 1\n2 1\n1 2\n2 1\n", "expected 2 permutation lines, got 3"),
+        ("ribbon 2\n2 1\n1 2\n", "delta and psi must act on the 2p half-edges"),
+    ], ids=["no-p", "bad-p", "one-line", "three-lines", "size-mismatch"])
+    def test_malformed_ribbon_exits_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "map.txt"
+        path.write_text(text)
+        code, out, err = invoke(capsys, "inspect", str(path))
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
 
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "inspect", "/nonexistent/file.txt")
@@ -163,6 +198,14 @@ class TestExperiment:
         code, _, err = invoke(capsys, "experiment", "--config", str(config))
         assert code == 2
         assert "error" in err
+
+    def test_missing_d_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text("model = quartic\np = 20\ntrials = 5\nseed = 1\nobservables = b2\n")
+        code, out, err = invoke(capsys, "experiment", "--config", str(config))
+        assert code == 2
+        assert err == "error: quartic model needs D >= 2\n"
+        assert out == ""
 
     def test_bad_value_names_line_and_key(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -68,7 +68,7 @@ class TestKSNormality:
 
     def test_constant_sample_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            ks_normality([3.0] * 100)
+            ks_normality([3.0] * 100, rng=substream(2, 0))
 
     def test_lattice_span_detection(self):
         rng = substream(2, 0)
@@ -460,6 +460,11 @@ class TestRun:
             (dict(model="ribbon", observables=("genus", "b2_var")), r"\['b2_var'\] unsupported"),
             (dict(threads=0), "threads must be >= 1, got 0"),
             (dict(threads=-3), "threads must be >= 1, got -3"),
+            (dict(D=None), "uniform model needs D >= 1"),
+            (dict(model="quartic", D=None), "quartic model needs D >= 2"),
+            (dict(model="quartic", D=1), "quartic model needs D >= 2"),
+            (dict(p=0), "uniform model needs p >= 1"),
+            (dict(model="ribbon", p=0, observables=("genus",)), "ribbon model needs p >= 1"),
         ],
     )
     def test_bad_request_rejected_before_sampling(self, monkeypatch, kw, message):

