@@ -58,6 +58,8 @@ def _cmd_sample(args) -> int:
     if args.model == "uncolored" and not args.base:
         raise ValueError("--base is required for the uncolored model")
     base = models.load_base_graph(args.base) if args.model == "uncolored" else None
+    if base is not None:
+        models.check_base_dimension(args.D, base)
     sample = SAMPLERS[args.model](args, base, np.random.default_rng(args.seed))
     text = models.ribbon_to_text(sample) if args.model == "ribbon" else cg.to_text(sample)
     if args.out:
@@ -78,9 +80,12 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    models.check_sizes(args.model, args.D, args.p)
     base = models.load_base_graph(args.base) if args.base else None
-    if args.model == "uncolored" and base is None:
-        raise ValueError("--base is required for the uncolored model")
+    if args.model == "uncolored":
+        if base is None:
+            raise ValueError("--base is required for the uncolored model")
+        models.check_base_dimension(args.D, base)
     rows = predictions.prediction_table(args.model, D=args.D, p=args.p, base=base)
     if not rows:
         raise ValueError("no predictions available at these parameters")

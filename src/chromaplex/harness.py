@@ -459,8 +459,10 @@ def run(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentRe
     observable and distributional test."""
     t0 = time.perf_counter()
     base = models.load_base_graph(config.base_path) if config.base_path else None
-    if config.model == "uncolored" and base is None:
-        raise ValueError("uncolored model needs a base graph path")
+    if config.model == "uncolored":
+        if base is None:
+            raise ValueError("uncolored model needs a base graph path")
+        models.check_base_dimension(config.D, base)
     want = set(config.observables) | set(config.dispersion)
     for spec in config.ks:
         name, _, cond = spec.partition("|")

@@ -86,6 +86,13 @@ def check_sizes(model: str, D: Optional[int], p: int) -> None:
         raise ValueError(f"{model} model needs p >= 1")
 
 
+def check_base_dimension(D: Optional[int], base: BaseGraph) -> None:
+    """Reject an uncolored-model D that contradicts the base graph's D;
+    None stands for the base's D."""
+    if D is not None and D != base.D:
+        raise ValueError(f"uncolored model: D = {D} contradicts the base graph's D = {base.D}")
+
+
 def sample_uniform_model(D: int, p: int, rng: np.random.Generator) -> cg.ColoredGraph:
     """D+1 independent uniform permutations of {1..p}."""
     check_sizes("uniform", D, p)

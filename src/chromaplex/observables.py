@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import colored_graph as cg
 from . import config_digraph as cd
 from . import dual_complex as dc
@@ -70,10 +72,14 @@ def _quotient(G, values, config, rng) -> None:
 
 
 def _dist2(G, values, config, rng) -> None:
-    """The only kernel that draws from the trial's stream."""
-    cx = dc.build_dual_complex(G)
+    """The only kernel that draws from the trial's stream.  Its one call
+    draws the same ids, and leaves the same next draw, as the scalar draws
+    u, v pair by pair of `dual_complex.sample_pair_distance`."""
+    sk = dc._skeleton(G)
     pairs = config.distance_pairs
-    values["dist2_frac"] = sum(dc.sample_pair_distance(cx, rng) == 2 for _ in range(pairs)) / pairs
+    uv = rng.integers(sk.n_points, size=(pairs, 2))
+    hits = dc.distance_two(sk.n_points, sk.indptr, sk.indices, uv)
+    values["dist2_frac"] = int(np.count_nonzero(hits)) / pairs
 
 
 def _ribbon(m, values, config, rng) -> None:

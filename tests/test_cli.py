@@ -67,6 +67,11 @@ class TestSample:
                               "--p", "3", "--base", str(base))
         assert code == 0
         assert out.splitlines()[0] == "3 6"
+        code, out, err = invoke(capsys, "sample", "--model", "uncolored", "--D", "7",
+                                "--p", "3", "--base", str(base))
+        assert code == 2
+        assert err.strip() == "error: uncolored model: D = 7 contradicts the base graph's D = 3"
+        assert out == ""
 
 
 class TestInspect:
@@ -127,6 +132,26 @@ class TestExact:
     def test_uncolored_needs_base(self, capsys):
         code, _, _ = invoke(capsys, "exact", "--model", "uncolored", "--p", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (("quartic", "--D", "1", "--p", "5"), "error: quartic model needs D >= 2"),
+        (("uniform", "--p", "5"), "error: uniform model needs D >= 1"),
+        (("ribbon", "--p", "0"), "error: ribbon model needs p >= 1"),
+    ], ids=["quartic-D1", "uniform-no-D", "ribbon-p0"])
+    def test_bad_size_exits_2(self, capsys, argv, message):
+        code, out, err = invoke(capsys, "exact", "--model", *argv)
+        assert code == 2
+        assert err.strip() == message
+        assert out == ""
+
+    def test_uncolored_d_must_match_the_base(self, capsys, tmp_path):
+        path = tmp_path / "base.txt"
+        path.write_text(base_to_text(quartic_base(3)))
+        code, out, err = invoke(capsys, "exact", "--model", "uncolored", "--D", "7",
+                                "--p", "50", "--base", str(path))
+        assert code == 2
+        assert err.strip() == "error: uncolored model: D = 7 contradicts the base graph's D = 3"
+        assert out == ""
 
 
 class TestOracle:

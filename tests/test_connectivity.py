@@ -1,12 +1,13 @@
 """The csgraph connectivity kernel against a reference union-find, the
-numpy dual complex against a dict/set reference built on it, the per-block
+numpy dual complex against a dict/set reference built on it, its batched
+distance-2 test against breadth-first search, the per-block
 component counts against scipy block by block, and the batched cycle counts
 behind faces, jackets and ribbon genus against pointer chasing."""
 import itertools
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
@@ -110,6 +111,62 @@ def test_dual_complex_matches_reference(G):
     ref = reference_dual_complex(G)
     assert cx == ref
     assert list(cx.edge_multiplicity.items()) == list(ref.edge_multiplicity.items())
+
+
+@given(colored_graphs())
+def test_skeleton_arrays_match_reference(G):
+    sk = dc._skeleton(G)
+    ref = reference_dual_complex(G)
+    assert sk.n_points == ref.n_points
+    assert sk.point_of.tolist() == [list(row) for row in ref.point_by_color_vertex]
+    rows = [sk.indices[a:b].tolist() for a, b in itertools.pairwise(sk.indptr.tolist())]
+    assert rows == [list(row) for row in ref.adjacency]
+    edges = list(zip(sk.lo.tolist(), sk.hi.tolist(), sk.mult.tolist()))
+    assert edges == [(u, v, m) for (u, v), m in ref.edge_multiplicity.items()]
+    cx = dc.build_dual_complex(G)
+    assert rows == [list(row) for row in cx.adjacency]
+    assert edges == [(u, v, m) for (u, v), m in cx.edge_multiplicity.items()]
+
+
+def check_distance_two(G, seed):
+    """distance_two against distance == 2: on every pair of a small complex,
+    else on random pairs, every pair through the point of largest degree,
+    both orientations of the first edges, and u == v."""
+    cx = dc.build_dual_complex(G)
+    sk = dc._skeleton(G)
+    n = cx.n_points
+    if n <= 20:
+        uv = np.array(list(itertools.product(range(n), repeat=2)))
+    else:
+        hub = np.full(n, np.argmax(np.diff(sk.indptr)))
+        points = np.arange(n)
+        edges = np.column_stack((sk.lo, sk.hi))[:100]
+        uv = np.concatenate((
+            np.random.default_rng(seed).integers(n, size=(200, 2)),
+            np.column_stack((hub, points)), np.column_stack((points, hub)),
+            edges, edges[:, ::-1], np.column_stack((points, points))[:20],
+        ))
+    got = dc.distance_two(n, sk.indptr, sk.indices, uv)
+    assert got.tolist() == [dc.distance(cx, u, v) == 2 for u, v in uv.tolist()]
+
+
+@given(colored_graphs(), st.integers(0, 2**32 - 1))
+@example(cg.build(2, 3, [Permutation.identity(3)] * 3), 0)  # three disjoint melons
+def test_distance_two_matches_distance(G, seed):
+    check_distance_two(G, seed)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 4), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@example(3, 300, 1)
+def test_distance_two_matches_distance_on_quartic_hubs(D, p, seed):
+    check_distance_two(models.sample_quartic_model(D, p, np.random.default_rng(seed))[0], seed)
+
+
+def test_distance_two_on_a_single_point():
+    no_arcs = np.zeros(0, dtype=np.int64)
+    same = np.zeros((3, 2), dtype=np.int64)
+    assert dc.distance_two(1, np.zeros(2, dtype=np.int64), no_arcs, same).tolist() == [False] * 3
 
 
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1))

@@ -1,4 +1,5 @@
 """Statistical tests, exhaustive oracles, and the experiment runner."""
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chromaplex import dual_complex as dc
 from chromaplex import harness
 from chromaplex.harness import (
     ExperimentConfig,
@@ -21,7 +23,7 @@ from chromaplex.harness import (
     run,
     substream,
 )
-from chromaplex.models import base_to_text, quartic_base
+from chromaplex.models import base_to_text, quartic_base, sample_quartic_model
 from chromaplex.oracles import exhaustive_oracle, exhaustive_ribbon_oracle
 
 
@@ -432,6 +434,33 @@ class TestRun:
         report = run(config)
         assert 0.5 < report.row("dist2_frac").mean <= 1.0
 
+    def test_distance_never_builds_the_tuple_complex(self, monkeypatch):
+        def tuples(*args):
+            raise AssertionError("dist2_frac went through the tuple-based complex")
+
+        monkeypatch.setattr(dc, "build_dual_complex", tuples)
+        monkeypatch.setattr(dc, "sample_pair_distance", tuples)
+        config = ExperimentConfig(
+            model="quartic", p=50, trials=4, seed=9, D=3,
+            observables=("dist2_frac",), distance_pairs=40,
+        )
+        report = run(config)
+        assert report.all_pass and report.row("dist2_frac").n == 4
+
+    def test_distance_equals_the_scalar_draws(self):
+        # trial by trial, dist2_frac is distance == 2 over the pairs that
+        # sample_pair_distance draws from the trial's stream
+        config = ExperimentConfig(
+            model="quartic", p=60, trials=6, seed=4, D=3,
+            observables=("dist2_frac",), distance_pairs=80,
+        )
+        samples = run(config).samples["dist2_frac"]
+        for t in range(config.trials):
+            rng = substream(config.seed, t)
+            cx = dc.build_dual_complex(sample_quartic_model(3, 60, rng)[0])
+            hits = sum(dc.sample_pair_distance(cx, rng) == 2 for _ in range(80))
+            assert samples[t] == hits / 80
+
     @pytest.mark.parametrize(
         "kw, message",
         [
@@ -541,3 +570,16 @@ def test_row_kinds_per_observable(quartic_base_path, model, D, observable, rows)
     report = run(config)
     assert [(r.name, r.kind) for r in report.rows] == rows
     assert sorted(report.samples) == [observable]
+
+
+def test_uncolored_d_must_match_the_base(quartic_base_path, monkeypatch):
+    config = ExperimentConfig(
+        model="uncolored", p=20, trials=3, seed=1, D=7,
+        base_path=quartic_base_path, observables=("k_of_S",),
+    )
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_run_chunk", _no_trials)
+        with pytest.raises(ValueError, match="D = 7 contradicts the base graph's D = 3"):
+            run(config)
+    for D in (None, 3):
+        assert run(dataclasses.replace(config, D=D)).row("k_of_S[k>=1]").n == 3

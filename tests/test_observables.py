@@ -3,6 +3,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chromaplex.harness import substream
@@ -47,3 +48,17 @@ def test_degree_kernel_matches_float_formula(D):
         float_formula = fact / 2 * (D * (D - 1) / 2 * G.p + D - values["b2"])
         assert float(values["gurau_degree"]) == float_formula
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2005, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**62 + 3])
+def test_pair_draw_equals_scalar_draws(n):
+    # the dist2_frac kernel draws its (pairs, 2) point ids in one call; that
+    # must be the stream of 2 * pairs scalar draws u, v, u, v, ... and leave
+    # the same next draw, or the reports change
+    for seed in range(40):
+        draw = np.random.default_rng(seed).integers
+        scalars = [draw(n) for _ in range(2001)]
+        for k in (1, 2, 1000):
+            rng = np.random.default_rng(seed)
+            assert rng.integers(n, size=(k, 2)).ravel().tolist() == scalars[: 2 * k]
+            assert rng.integers(n) == scalars[2 * k]
